@@ -5,21 +5,24 @@
  *
  * BM_EvalUncached / BM_EvalCached measure the paper's core amortization:
  * one profile evaluated across the thesis's full 243-point design space
- * (width x ROB x L1 x L2 x L3, Table 6.3), once through the plain
- * per-call path and once through a shared EvalContext. Outputs are
- * bitwise identical (tests/test_eval_cache.cc); only the repeated
- * per-workload rebuild cost differs. BM_DseSweepModelOnly sweeps the
- * full 243-config space over several workloads with no simulation — the
- * configuration the million-point claim extrapolates from — and
- * BM_DseSweepPaired gives the simulation-bound reference on a small
- * space.
+ * (width x ROB x L1 x L2 x L3, Table 6.3), once through the compat
+ * wrapper (a throwaway EvalContext per point) and once through a shared
+ * EvalContext. Both run the same evaluator, so outputs are bitwise
+ * identical (tests/test_eval_cache.cc); only the per-workload rebuild
+ * cost differs. BM_DseSweepModelOnly sweeps the full 243-config space
+ * over several workloads with no simulation into a materialized point
+ * grid, one cold EvalContext per worker chunk — the configuration the
+ * million-point claim extrapolates from — and BM_DseSweepPaired gives
+ * the simulation-bound reference on a small space.
  *
  * BM_DseSweepBatched runs the exact same space as BM_DseSweepModelOnly
  * through the streaming ModelOnlyPareto mode with a persistent
- * ModelEvalPool — the steady-state batched throughput the README quotes.
- * BM_DseSweepMillion sweeps a generated 2^20-point space (the paper's
- * million-point claim) without ever materializing the configs or the
- * point grid; it is excluded from smoke runs (see run_benchmarks.sh).
+ * ModelEvalPool: the same evaluator, but O(front) output and contexts
+ * kept warm across iterations, so the ratio of the two measures
+ * materialized-vs-streaming, not two evaluators. BM_DseSweepMillion
+ * sweeps a generated 2^20-point space (the paper's million-point claim)
+ * without ever materializing the configs or the point grid; it is
+ * excluded from smoke runs (see run_benchmarks.sh).
  */
 #include <benchmark/benchmark.h>
 
@@ -127,9 +130,9 @@ void
 BM_DseSweepBatched(benchmark::State &state)
 {
     // Same 4 workloads x 243 configs as BM_DseSweepModelOnly; the ratio
-    // of the two items_per_second readings is the batched-sweep speedup
-    // recorded in BENCH_speedup.json. The pool lives across iterations,
-    // so the min-of-reps aggregate measures warm steady-state throughput
+    // of the two items_per_second readings is the streaming-vs-
+    // materialized sweep ratio. The pool lives across iterations, so the
+    // min-of-reps aggregate measures warm steady-state throughput
     // (repeated sweeps against pinned profiles, the pool's use case).
     static const SweepInputs in = makeSweepInputs(
         {"balanced_mix", "stream_add", "ptr_chase", "branchy"}, 150000);

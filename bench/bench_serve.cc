@@ -7,12 +7,13 @@
  * own connection, issuing model-only 27-point sweeps against a profile
  * already resident in the server's LRU. The measured path is the full
  * service stack — socket round-trip, JSON parse, queue, executor,
- * batched sweep against the entry's persistent ModelEvalPool, response
+ * streaming sweep against the entry's persistent ModelEvalPool, response
  * serialization — so the number is comparable to BM_DseSweepBatched to
  * read off the serving overhead on top of the bare sweep.
  *
  * BM_ServeEvaluate is the cheapest query (single-config evaluation
- * against the warm EvalContext), bounding the per-request fixed cost.
+ * against the entry's warm pooled EvalContext), bounding the
+ * per-request fixed cost.
  *
  * Both are smoke-safe: small profile, small space, server torn down at
  * process exit.
@@ -82,7 +83,7 @@ void
 BM_ServeThroughput(benchmark::State &state)
 {
     // One connection per benchmark thread; the sweep hits the warm LRU
-    // entry (memoized EvalContext + persistent ModelEvalPool), so the
+    // entry (its ModelEvalPool holds the memoized EvalContext), so the
     // steady state is serving overhead + batched model evaluation.
     serve::Client cli;
     if (!cli.connect(warmServerSocket()).ok()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "dse/pareto.hh"
@@ -14,36 +15,9 @@
 
 namespace mipp {
 
-namespace {
-
-/** Pool-slot identity: options under which a cached BatchEval was built.
- *  A custom branch model is never treated as poolable — model equality
- *  would need a deep compare, and the override is a test-only escape
- *  hatch — so its presence always rebuilds. */
-bool
-sameOptions(const ModelOptions &a, const ModelOptions &b)
-{
-    return a.baseLevel == b.baseLevel && a.mlpMode == b.mlpMode &&
-           a.modelMshrs == b.modelMshrs && a.modelBus == b.modelBus &&
-           a.modelLlcChaining == b.modelLlcChaining &&
-           a.modelPrefetcher == b.modelPrefetcher &&
-           a.perWindow == b.perWindow && !a.branchModel &&
-           !b.branchModel &&
-           a.cal.penaltyScale == b.cal.penaltyScale &&
-           a.cal.baseWindowFrac == b.cal.baseWindowFrac &&
-           a.cal.mlpWindowFrac == b.cal.mlpWindowFrac &&
-           a.cal.shadowScale == b.cal.shadowScale &&
-           a.cal.busQueueScale == b.cal.busQueueScale &&
-           a.cal.coldInject == b.cal.coldInject;
-}
-
-} // namespace
-
 struct ModelEvalPool::Slot {
     const Profile *profile = nullptr;
-    ModelOptions opts;
     std::unique_ptr<EvalContext> ctx;
-    std::unique_ptr<BatchEval> be;
 };
 
 ModelEvalPool::ModelEvalPool() = default;
@@ -56,19 +30,16 @@ ModelEvalPool::reserve(size_t nWorkloads)
         slots_.resize(nWorkloads);
 }
 
-BatchEval &
-ModelEvalPool::get(size_t wi, const Profile &profile,
-                   const ModelOptions &mopts)
+EvalContext &
+ModelEvalPool::get(size_t wi, const Profile &profile)
 {
     reserve(wi + 1);
     Slot &s = slots_[wi];
-    if (!s.be || s.profile != &profile || !sameOptions(s.opts, mopts)) {
+    if (!s.ctx || s.profile != &profile) {
         s.ctx = std::make_unique<EvalContext>(profile);
-        s.be = std::make_unique<BatchEval>(*s.ctx, mopts);
         s.profile = &profile;
-        s.opts = mopts;
     }
-    return *s.be;
+    return *s.ctx;
 }
 
 void
@@ -248,12 +219,12 @@ streamingChunks(size_t nw, size_t nc, unsigned streams)
 }
 
 /**
- * Streaming batched model pass (SweepMode::ModelOnlyPareto): evaluate
- * every point through BatchEval in fixed-size batches and fold the
+ * Streaming model pass (SweepMode::ModelOnlyPareto): evaluate every
+ * point through a BatchEval loop in fixed-size batches and fold the
  * (CPI, watts) objectives straight into per-shard Pareto accumulators —
  * no SweepPoint grid. Shard accumulators merge per workload at the end;
- * since the batched values are bitwise identical to the scalar path's,
- * the merged fronts equal ModelOnly's paretoFront() output exactly.
+ * the model values are the ones ModelOnly computes, so the merged fronts
+ * equal ModelOnly's paretoFront() output exactly.
  *
  * Exactly one of @p configs / @p gen is non-null: explicit config spans
  * are evaluated in place, generated spaces one scratch batch at a time.
@@ -295,19 +266,11 @@ streamingModelPass(const std::vector<Profile> &profiles,
                                        &sopts.cancel);
                 MIPP_SPAN("dse.chunk");
                 const Span &sp = spans[s];
-                std::unique_ptr<EvalContext> localCtx;
-                std::unique_ptr<BatchEval> localBe;
-                BatchEval *be;
-                if (wholeSpans) {
-                    be = &sopts.evalPool->get(sp.wi, profiles[sp.wi],
-                                              mopts);
-                } else {
-                    localCtx =
-                        std::make_unique<EvalContext>(profiles[sp.wi]);
-                    localBe =
-                        std::make_unique<BatchEval>(*localCtx, mopts);
-                    be = localBe.get();
-                }
+                std::optional<EvalContext> localCtx;
+                EvalContext &ctx =
+                    wholeSpans ? sopts.evalPool->get(sp.wi, profiles[sp.wi])
+                               : localCtx.emplace(profiles[sp.wi]);
+                BatchEval be(ctx, mopts);
 
                 constexpr size_t kBatch = 256;
                 std::array<BatchEval::Output, kBatch> out;
@@ -327,8 +290,8 @@ streamingModelPass(const std::vector<Profile> &profiles,
                     } else {
                         cfgs = configs->data() + c0;
                     }
-                    be->evaluate(cfgs, n, out.data(),
-                                 pp.empty() ? nullptr : pp.data() + c0);
+                    be.evaluate(cfgs, n, out.data(),
+                                pp.empty() ? nullptr : pp.data() + c0);
                     for (size_t j = 0; j < n; ++j)
                         acc.insert({out[j].modelCpi, out[j].modelWatts},
                                    c0 + j);

@@ -2,7 +2,7 @@
  * @file
  * Design-space sweep driver (thesis Ch. 6-7 experimental harness).
  *
- * Pairs every workload with every core configuration. Three modes:
+ * Pairs every workload with every core configuration. Four modes:
  *
  *  - Paired: every point gets both the ground truth (cycle-level
  *    simulation + power from simulated activity) and the prediction
@@ -14,10 +14,12 @@
  *    everywhere, the *model-side* Pareto front is extracted per workload,
  *    and detailed simulation runs only on front candidates plus a
  *    configurable validation sample. O(points × model + front × sim).
- *  - ModelOnlyPareto: ModelOnly evaluated through the batched BatchEval
- *    engine with *streaming* Pareto accumulation: results flow straight
- *    into an online per-workload ParetoAccumulator and are discarded, so
- *    peak memory is O(front), independent of the point count. The
+ *  - ModelOnlyPareto: ModelOnly with *streaming* Pareto accumulation.
+ *    Points are evaluated in fixed-size batches through the same
+ *    EvalContext memo tables every mode uses, and the results flow
+ *    straight into an online per-workload ParetoAccumulator and are
+ *    discarded, so peak memory is O(front), independent of the point
+ *    count. The
  *    surviving fronts are bitwise identical to ModelOnly's (same model
  *    values, same tie handling). This is the mode that makes a
  *    million-point space practical; sweepGenerated() extends it to
@@ -26,8 +28,8 @@
  * Sweeps are workload-major: points for one workload are contiguous and
  * each worker chunk holds a single memoized EvalContext, so per-workload
  * state (StatStacks, chain weights, MLP walks) is built once per chunk
- * instead of once per point. Streaming sweeps can additionally reuse the
- * batched evaluators across calls via ModelEvalPool.
+ * instead of once per point. Streaming sweeps can additionally keep those
+ * contexts warm across calls via ModelEvalPool.
  */
 
 #ifndef MIPP_DSE_EXPLORER_HH
@@ -82,19 +84,19 @@ enum class SweepMode {
     Paired,             ///< simulate + model every point
     ModelOnly,          ///< model every point, simulate nothing
     ModelThenSimPareto, ///< model everywhere, simulate model-front + sample
-    ModelOnlyPareto,    ///< batched model pass, streaming O(front) fronts
+    ModelOnlyPareto,    ///< model every point, streaming O(front) fronts
 };
 
 class EvalContext;
-class BatchEval;
 
 /**
- * Reusable per-workload batched evaluators for repeated streaming sweeps
+ * Reusable per-workload evaluation contexts for repeated streaming sweeps
  * against pinned profiles: the profile-level memo tables (StatStacks,
  * stride-MLP walks, dispatch-limit entries...) stay warm across sweep
  * calls instead of being rebuilt per call. Entries are keyed by workload
- * index and validated against the profile identity and the model options;
- * any mismatch rebuilds the entry.
+ * index and validated against the profile identity; a mismatch rebuilds
+ * the entry. The contexts key every memo on the model options it reads,
+ * so one entry serves sweeps under any ModelOptions.
  *
  * Lifetime: pooled entries pin their Profile like EvalContext does — the
  * profiles must outlive the pool, unmutated. Thread safety: a streaming
@@ -114,10 +116,9 @@ class ModelEvalPool
      *  before concurrent use). */
     void reserve(size_t nWorkloads);
 
-    /** Pooled evaluator for workload @p wi pinned to @p profile under
-     *  @p mopts; (re)built on first use or identity mismatch. */
-    BatchEval &get(size_t wi, const Profile &profile,
-                   const ModelOptions &mopts);
+    /** Pooled context for workload @p wi pinned to @p profile;
+     *  (re)built on first use or profile identity mismatch. */
+    EvalContext &get(size_t wi, const Profile &profile);
 
     void clear();
 
@@ -142,7 +143,7 @@ struct SweepOptions {
      */
     size_t validationSamples = 0;
 
-    /** Streaming modes: optional cross-call evaluator pool (see
+    /** Streaming modes: optional cross-call context pool (see
      *  ModelEvalPool). The pool must outlive the sweep call; profiles
      *  must outlive the pool. Ignored by non-streaming modes. */
     ModelEvalPool *evalPool = nullptr;
@@ -254,8 +255,8 @@ using ConfigGenerator = std::function<void(size_t ci, CoreConfig &out)>;
 
 /**
  * Streaming model-only sweep over a *generated* design space: the
- * nConfigs points are produced on the fly by @p gen, evaluated through
- * the batched engine and folded into per-workload Pareto accumulators —
+ * nConfigs points are produced on the fly by @p gen, evaluated in
+ * batches and folded into per-workload Pareto accumulators —
  * neither the config vector nor the result grid is ever materialized, so
  * memory is O(front) + O(batch) however large the space. Runs in
  * SweepMode::ModelOnlyPareto regardless of sopts.mode; the returned

@@ -5,44 +5,51 @@
  * The paper's central economics (thesis Ch. 6): a micro-architecture
  * independent profile is collected *once* per workload and then amortized
  * over an entire design-space exploration of thousands to millions of
- * design points. The plain `evaluateModel(profile, cfg)` entry point is a
- * pure function and rebuilds every intermediate from scratch on each call —
- * two StatStack objects, per-static-op chain weights, the branch miss
- * model, the virtual-load-stream MLP walk. Almost all of that work depends
+ * design points. Almost every intermediate of the interval model depends
  * only on the profile plus a *few discrete levels* of the configuration
- * (cache sizes, ROB sizes), not on the full design point, so across a
- * sweep it is recomputed hundreds of times with identical inputs.
+ * (cache sizes, ROB sizes, the issue-port layout), not on the full design
+ * point, so across a sweep it would be recomputed hundreds of times with
+ * identical inputs.
  *
- * An EvalContext pins one Profile and memoizes those intermediates:
+ * An EvalContext pins one Profile and is the model's single memo layer.
+ * Every evaluation — one-off, sweep chunk, batched streaming pass, served
+ * request — runs the same code through the same tables:
  *
  *  - the StatStack pair (combined data stream + instruction stream),
  *    built once per workload instead of once per design point;
- *  - `missRatio(histogram, cacheLines)` results, keyed by the histogram
- *    identity and the exact cache-size value — a design space has only a
- *    handful of distinct cache levels;
- *  - per-static-op serialized-LLC-hit chain weights and their per-window
- *    sums, keyed by the (L2, L3) size pair;
- *  - per-window critical-path interpolations, keyed by ROB size;
- *  - branch resolution times, keyed by the exact (width, ROB, latency,
- *    interval) inputs;
- *  - MLP estimates (the stride model's virtual-load-stream walk is the
- *    single most expensive part of an evaluation), keyed by the subset of
- *    configuration fields the MLP models actually read;
- *  - pretrained BranchMissModel instances, interned per predictor kind.
+ *  - the nine miss ratios of a cache hierarchy, keyed on the packed
+ *    (L1D, L2, L3, L1I) line counts, over a per-(histogram, size) table;
+ *  - global + per-window dispatch limits (Eq 3.10), hash-bucketed on
+ *    their complete input material, assembled from port-scheduling and
+ *    FU-rate sub-memos and the per-ROB-size window critical paths;
+ *  - MLP estimates (thesis Ch. 4), with the stride model's virtual load
+ *    stream factored once per profile in a StrideMlpCache;
+ *  - serialized-LLC-hit chain weights per (L2, L3) pair, combined from
+ *    per-cache-size op miss-ratio vectors;
+ *  - branch resolution times (thesis Alg 3.2) over precomputed chain
+ *    interpolation brackets, with a last-key shortcut;
+ *  - global critical-path lengths per dependence window;
+ *  - per-branch-model global miss rates and per-window miss counts.
  *
- * Every memo key captures *all* inputs of the memoized computation, so a
- * cache hit returns the exact double the uncached computation would have
- * produced: `evaluateModel(ctx, cfg, mopts)` is bitwise identical to
- * `evaluateModel(ctx.profile(), cfg, mopts)` (the compat wrapper simply
- * builds a throwaway context). tests/test_eval_cache.cc proves this over
- * a grid of configurations and predictors.
+ * The context pins no ModelOptions: every key carries the option fields
+ * its computation reads (ablation level, MLP mode / MSHRs / prefetcher /
+ * cold injection, the branch model's coefficients by value), so one
+ * context serves evaluations under any mix of options. Every key
+ * captures *all* inputs of its computation and hash buckets only narrow
+ * the scan — an exact key compare decides — so a hit returns the exact
+ * double a fresh computation produces. `evaluateModel(profile, cfg)` is
+ * a one-line compat wrapper over a throwaway context, so it is bitwise
+ * identical to evaluating through any warm context.
+ * tests/test_eval_kernels.cc holds each memoized kernel to its
+ * unmemoized primitive and one context to the options-agnostic
+ * contract.
  *
  * Contract and lifetime rules:
  *  - The Profile must outlive the EvalContext and must not be mutated
  *    while the context exists (histograms are referenced, not copied).
  *  - An EvalContext is NOT thread-safe; use one instance per thread.
- *    dse::sweep creates one per (workload, chunk) on the worker that
- *    processes the chunk.
+ *    Sweeps create one per (workload, chunk) on the worker that
+ *    processes the chunk, or borrow one from a ModelEvalPool.
  *  - Memory is bounded by the number of *distinct* levels queried, not by
  *    the number of design points evaluated.
  */
@@ -62,6 +69,7 @@
 namespace mipp {
 
 struct PowerParams;
+class StrideMlpCache;
 
 /**
  * Pretrained BranchMissModel interned per predictor kind: one immutable
@@ -72,16 +80,15 @@ const BranchMissModel &internedBranchModel(BranchPredictorKind kind);
 
 /**
  * Average uop latency for a type-fraction mix, with the load latency
- * blended over the L1D hit/miss split (thesis §3.3). Single source of
- * truth for both the per-call evaluation path and the memoized
- * per-window dispatch limits.
+ * blended over the L1D hit/miss split (thesis §3.3).
  */
 double mixAvgLatency(const std::array<double, kNumUopTypes> &frac,
                      const CoreConfig &cfg, double mrL1);
 
 /** Dispatch limits honoring the base-component ablation level
  *  (thesis Fig 3.7). @p window truncates the dependence-limit window
- *  (0 = cfg.robSize); @p cp must be the chain length at that window. */
+ *  (0 = cfg.robSize); @p cp must be the chain length at that window.
+ *  The unmemoized reference for EvalContext::limits. */
 DispatchLimits ablatedLimits(
     const std::array<double, kNumUopTypes> &typeCounts, double cp,
     double avgLat, const CoreConfig &cfg, ModelOptions::BaseLevel level,
@@ -93,6 +100,7 @@ class EvalContext
   public:
     /** @param p profile to pin; must outlive the context, unmutated. */
     explicit EvalContext(const Profile &p);
+    ~EvalContext();
 
     EvalContext(const EvalContext &) = delete;
     EvalContext &operator=(const EvalContext &) = delete;
@@ -110,6 +118,14 @@ class EvalContext
 
     /** Memoized instStats().missRatio(h, cacheLines). */
     double instMissRatio(const LogHistogram &h, double cacheLines);
+
+    /** The nine miss ratios of a design point's cache hierarchy. */
+    struct Ratios {
+        double l1, l2, l3;  ///< data-load stream
+        double s1, s2, s3;  ///< store stream
+        double i1, i2, i3;  ///< instruction stream
+    };
+    const Ratios &ratios(const CoreConfig &cfg);
 
     /**
      * Serialized-LLC-hit chain weights for one (L2, L3) size pair
@@ -131,19 +147,24 @@ class EvalContext
      *  (thesis Eq 5.2), one entry per Profile::windows element. */
     const std::vector<double> &windowCp(uint32_t robSize);
 
+    /** Global + per-window dispatch limits under one memo key. */
+    struct LimitsEntry {
+        DispatchLimits global;
+        /** One per Profile::windows element (windows without uops get
+         *  default limits). */
+        std::vector<DispatchLimits> windows;
+    };
     /**
-     * Per-window dispatch limits (Eq 3.10 with the ablation level
-     * applied): the port-scheduling walk runs once per distinct
-     * (pipeline, latency, L1D-behaviour) key instead of once per design
-     * point. The key holds every input of the computation verbatim —
-     * ports, FU pools, the latency table, ROB, width, ablation level and
-     * the L1D miss ratio entering the average latency — so hits are
-     * bitwise-exact replays. Entries are one per Profile::windows
-     * element (windows without uops get default limits).
+     * Dispatch limits (Eq 3.10 with the ablation level applied) at the
+     * dependence window @p depWindow. The key holds every input of the
+     * computation verbatim — ablation level, width, ROB, the window, the
+     * L1D miss ratio entering the average latency, the latency table, the
+     * issue-port signature and the FU pools — so hits are bitwise-exact
+     * replays of ablatedLimits().
      */
-    const std::vector<DispatchLimits> &
-    windowLimits(const CoreConfig &cfg, ModelOptions::BaseLevel level,
-                 double mrL1, uint32_t depWindow);
+    const LimitsEntry &limits(const CoreConfig &cfg,
+                              ModelOptions::BaseLevel level, double mrL1,
+                              uint32_t depWindow);
 
     /** Memoized branchResolutionTime (thesis Alg 3.2). */
     double branchResolution(const CoreConfig &cfg, double avgLat,
@@ -151,21 +172,30 @@ class EvalContext
 
     /**
      * Memoized MLP estimate (thesis Ch. 4). The key covers exactly the
-     * configuration fields the selected MLP model reads, so e.g. a
-     * pipeline-width sweep with the prefetcher disabled hits a single
-     * entry. @p windowUops is the mispredict-interval-truncated overlap
-     * window (0 = full ROB; ModelCalibration::mlpWindowFrac).
+     * options and configuration fields the selected MLP model reads, so
+     * e.g. a pipeline-width sweep with the prefetcher disabled hits a
+     * single entry. @p windowUops is the mispredict-interval-truncated
+     * overlap window (0 = full ROB; ModelCalibration::mlpWindowFrac).
      */
     const MlpEstimate &mlpEstimate(const CoreConfig &cfg,
                                    const ModelOptions &opts,
                                    uint32_t windowUops);
+
+    /** Rates one branch model derives from the profiled entropies. */
+    struct BranchRates {
+        double globalRate = 0;  ///< bm.missRate(global entropy)
+        /** bm.missRate(entropyEff[wi]) * branches, per window. */
+        std::vector<double> windowMisses;
+    };
+    /** Memoized per branch model, keyed on its coefficients by value. */
+    const BranchRates &branchRates(const BranchMissModel &bm);
 
     /**
      * Configuration-independent per-window statistics hoisted out of the
      * evaluation loop (structure-of-arrays over Profile::windows). Every
      * value is exactly the double the per-point computation would have
      * produced — these are pure functions of the pinned profile, computed
-     * once and shared by the scalar and batched paths alike.
+     * once.
      */
     struct WindowStatics {
         std::vector<double> uops;        ///< w.uops() per window
@@ -186,7 +216,6 @@ class EvalContext
     const WindowStatics &windowStatics();
 
   private:
-    friend class BatchEval;
     struct RatioEntry {
         const LogHistogram *h;
         uint64_t linesBits;  ///< bit pattern of the double cacheLines
@@ -194,6 +223,11 @@ class EvalContext
     };
     double memoRatio(std::vector<RatioEntry> &memo, const StatStack &ss,
                      const LogHistogram &h, double cacheLines);
+    /** Miss ratios keyed on the packed (L1D, L2, L3, L1I) line counts. */
+    struct RatioSlot {
+        uint64_t k0, k1;
+        Ratios r;
+    };
 
     struct ChainKey {
         uint64_t l2Bits, l3Bits;
@@ -217,122 +251,13 @@ class EvalContext
         uint64_t coldInjectBits;
         bool operator==(const MlpKey &) const = default;
     };
-
-    const Profile &p_;
-    StatStack ss_;
-    StatStack ssI_;
-
-    std::vector<RatioEntry> dataRatios_, instRatios_;
-    // Deques: grow-only memo tables handing out stable references.
-    std::deque<std::pair<ChainKey, ChainWeights>> chains_;
-    std::deque<std::pair<uint32_t, std::vector<double>>> windowCps_;
-    std::vector<std::pair<ResolutionKey, double>> resolutions_;
-    std::deque<std::pair<MlpKey, MlpEstimate>> mlps_;
-    /** Limits keyed by the full input material (exact compare, no
-     *  hashing: a silent collision would silently corrupt results). */
-    std::deque<std::pair<std::vector<uint64_t>, std::vector<DispatchLimits>>>
-        windowLimits_;
-    WindowStatics statics_;
-    bool staticsBuilt_ = false;
-};
-
-class StrideMlpCache;
-
-/**
- * Batched structure-of-arrays evaluator over one pinned (EvalContext,
- * ModelOptions) pair — the hot engine behind SweepMode::ModelOnlyPareto.
- *
- * An EvalContext alone already amortizes profile-level work, but its memo
- * lookups were designed for correctness-first auditability: per-point key
- * vectors rebuilt and linearly scanned on every evaluation, and per-point
- * reconstruction of the stride-MLP virtual load stream per distinct key.
- * BatchEval pins the options up front and layers batch-grade machinery on
- * top: hashed memo lookups with exact-key confirmation (a hash bucket
- * narrows the scan; the full key compare still decides, so collisions
- * cannot corrupt results), a StrideMlpCache that rebuilds only the miss
- * walk instead of the whole load stream, port/FU sub-memos shared across
- * dispatch-limit keys, chain weights combined from per-cache-size miss
- * ratio vectors, and per-branch-model window miss counts.
- *
- * Everything here is a bitwise-exact replay of the scalar path:
- * evaluateOne(cfg) equals evaluateModel(ctx, cfg, opts) field for field
- * (tests/test_eval_cache.cc proves it over the thesis grid). The class is
- * not thread-safe; use one instance per worker, like EvalContext.
- */
-class BatchEval
-{
-  public:
-    BatchEval(EvalContext &ec, const ModelOptions &opts);
-    ~BatchEval();
-
-    BatchEval(const BatchEval &) = delete;
-    BatchEval &operator=(const BatchEval &) = delete;
-
-    /** Sweep-facing result of one design point. */
-    struct Output {
-        double modelCpi = 0;
-        double modelWatts = 0;
+    /** BranchMissModel coefficients by bit pattern. */
+    struct BranchKey {
+        int kind;
+        uint64_t slope, intercept, knee, kneeSlope;
+        bool operator==(const BranchKey &) const = default;
     };
 
-    /**
-     * Evaluate @p n configurations into @p out. When @p power is non-null
-     * it must hold n precomputed powerParams(cfgs[i]) entries (sharing
-     * them across workloads skips the voltage/leakage pow() chain);
-     * otherwise the power parameters are derived per point.
-     */
-    void evaluate(const CoreConfig *cfgs, size_t n, Output *out,
-                  const PowerParams *power = nullptr);
-
-    /** Full single-point evaluation (parity tests / inspection). The
-     *  reference stays valid until the next evaluate*/
-    const ModelResult &evaluateOne(const CoreConfig &cfg);
-
-    EvalContext &context() { return ec_; }
-    const ModelOptions &options() const { return opts_; }
-
-    // --- fast memo lookups consumed by the shared evaluation core ---
-
-    /** The nine miss ratios of a design point's cache hierarchy. */
-    struct Ratios {
-        double l1, l2, l3;  ///< data-load stream
-        double s1, s2, s3;  ///< store stream
-        double i1, i2, i3;  ///< instruction stream
-    };
-    const Ratios &ratios(const CoreConfig &cfg);
-
-    /** Global + per-window dispatch limits under one memo key. */
-    struct LimitsEntry {
-        DispatchLimits global;
-        std::vector<DispatchLimits> windows;
-    };
-    const LimitsEntry &limits(const CoreConfig &cfg, double mrL1,
-                              uint32_t depWindow);
-
-    const MlpEstimate &mlpEstimate(const CoreConfig &cfg,
-                                   uint32_t windowUops);
-
-    const EvalContext::ChainWeights &chainWeights(double l2Lines,
-                                                  double l3Lines);
-
-    /** Memoized branch resolution time with a last-key shortcut. */
-    double branchResolution(const CoreConfig &cfg, double avgLat,
-                            double uopsBetweenMispredicts);
-
-    /** Memoized profile().chains.cp(depWindow). */
-    double globalCp(uint32_t depWindow);
-
-    /** bm.missRate(entropyEff[wi]) * branches per window, memoized per
-     *  interned branch model (identity key: models are pinned). */
-    const std::vector<double> &windowBranchMisses(const BranchMissModel &bm);
-    /** Memoized bm.missRate(profile().branch.entropy()). */
-    double globalMissRate(const BranchMissModel &bm);
-
-  private:
-    /** Miss ratios keyed on the packed (L1D, L2, L3, L1I) line counts. */
-    struct RatioSlot {
-        uint64_t k0, k1;
-        Ratios r;
-    };
     /** Port-scheduling walk results keyed on the issue-port signature:
      *  the walk reads only the per-window uop counts (profile) and the
      *  eligible-port sets, so one entry serves every width/ROB/cache
@@ -347,17 +272,6 @@ class BatchEval
         std::vector<uint64_t> key;
         double globalMinRate = 0;
         std::vector<double> windowMinRate;
-    };
-    struct MlpSlot {
-        EvalContext::MlpKey key;
-        MlpEstimate est;
-    };
-    /** Per-branch-model derived rates (identity keyed: models are either
-     *  process-interned or pinned inside opts_). */
-    struct BranchSlot {
-        const BranchMissModel *bm;
-        double globalRate = 0;
-        std::vector<double> windowMisses;
     };
     /**
      * Bitwise-exact replay of DependenceChains::interpolate with the
@@ -381,24 +295,31 @@ class BatchEval
         double eval(double rob) const;
     };
 
-    void buildLimitsKey(const CoreConfig &cfg, uint32_t depWindow,
+    void buildLimitsKey(const CoreConfig &cfg,
+                        ModelOptions::BaseLevel level, uint32_t depWindow,
                         uint64_t mrL1Bits);
-    LimitsEntry buildLimits(const CoreConfig &cfg, double mrL1,
+    LimitsEntry buildLimits(const CoreConfig &cfg,
+                            ModelOptions::BaseLevel level, double mrL1,
                             uint32_t depWindow);
     const PortsEntry &portsEntry(const CoreConfig &cfg);
     const FuEntry &fuEntry(const CoreConfig &cfg);
     const std::vector<double> &opRatios(double lines);
-    BranchSlot &branchSlot(const BranchMissModel &bm);
-    double fastResolutionTime(const CoreConfig &cfg, double avgLat,
-                              double uopsBetweenMispredicts) const;
+    /** Memoized profile().chains.cp(depWindow). */
+    double globalCp(uint32_t depWindow);
+    double resolutionTime(const CoreConfig &cfg, double avgLat,
+                          double uopsBetweenMispredicts) const;
 
-    EvalContext &ec_;
-    ModelOptions opts_;
-    ModelResult scratch_;
+    const Profile &p_;
+    StatStack ss_;
+    StatStack ssI_;
 
-    std::unique_ptr<StrideMlpCache> strideCache_;
-
+    std::vector<RatioEntry> dataRatios_, instRatios_;
     std::vector<RatioSlot> ratioTable_;
+
+    // Deques: grow-only memo tables handing out stable references.
+    std::deque<std::pair<uint32_t, std::vector<double>>> windowCps_;
+    std::vector<std::pair<uint32_t, double>> globalCps_;
+
     std::deque<std::pair<std::vector<uint64_t>, LimitsEntry>> limitsTable_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> limitsBuckets_;
     std::vector<uint64_t> keyBuf_;
@@ -406,21 +327,68 @@ class BatchEval
     std::vector<uint64_t> lastLimitsKey_;
     std::deque<PortsEntry> portsTable_;
     std::deque<FuEntry> fuTable_;
-    std::deque<MlpSlot> mlpTable_;
-    std::deque<std::pair<EvalContext::ChainKey, EvalContext::ChainWeights>>
-        chainTable_;
+
+    std::unique_ptr<StrideMlpCache> strideCache_;
+    std::deque<std::pair<MlpKey, MlpEstimate>> mlpTable_;
+
+    std::deque<std::pair<ChainKey, ChainWeights>> chainTable_;
     /** Per-(cache lines) miss ratio across static ops, load ops only. */
     std::deque<std::pair<uint64_t, std::vector<double>>> opRatioTable_;
     std::vector<double> depClamp_;  ///< per static op, profile-only
     double loadsSeen_ = 0;
     bool depClampBuilt_ = false;
-    std::vector<std::pair<uint32_t, double>> globalCps_;
-    std::deque<BranchSlot> branchTable_;
+
     ChainInterp cpInterp_, abpInterp_;
-    std::vector<std::pair<EvalContext::ResolutionKey, double>> resTable_;
-    EvalContext::ResolutionKey lastResKey_{};
+    std::vector<std::pair<ResolutionKey, double>> resTable_;
+    ResolutionKey lastResKey_{};
     double lastResValue_ = 0;
     bool lastResValid_ = false;
+
+    std::deque<std::pair<BranchKey, BranchRates>> branchTable_;
+
+    WindowStatics statics_;
+    bool staticsBuilt_ = false;
+};
+
+/**
+ * Batch loop over one (EvalContext, ModelOptions) pair: evaluates a run
+ * of configurations into (CPI, watts) pairs through one recycled
+ * ModelResult — the engine behind the streaming sweep modes. It adds no
+ * memo tables of its own: evaluateOne(cfg) is evaluateModel(ctx, cfg,
+ * opts) without the result allocation. Not thread-safe; use one
+ * instance per worker, like EvalContext.
+ */
+class BatchEval
+{
+  public:
+    BatchEval(EvalContext &ec, const ModelOptions &opts);
+
+    BatchEval(const BatchEval &) = delete;
+    BatchEval &operator=(const BatchEval &) = delete;
+
+    /** Sweep-facing result of one design point. */
+    struct Output {
+        double modelCpi = 0;
+        double modelWatts = 0;
+    };
+
+    /**
+     * Evaluate @p n configurations into @p out. When @p power is non-null
+     * it must hold n precomputed powerParams(cfgs[i]) entries (sharing
+     * them across workloads skips the voltage/leakage pow() chain);
+     * otherwise the power parameters are derived per point.
+     */
+    void evaluate(const CoreConfig *cfgs, size_t n, Output *out,
+                  const PowerParams *power = nullptr);
+
+    /** Full single-point evaluation (parity tests / inspection). The
+     *  reference stays valid until the next evaluate call. */
+    const ModelResult &evaluateOne(const CoreConfig &cfg);
+
+  private:
+    EvalContext &ec_;
+    ModelOptions opts_;
+    ModelResult scratch_;
 };
 
 /**
@@ -433,14 +401,11 @@ ModelResult evaluateModel(EvalContext &ctx, const CoreConfig &cfg,
                           const ModelOptions &opts = {});
 
 /**
- * Shared evaluation core behind evaluateModel and BatchEval: fills @p res
- * in place (clearing reused buffers) so batch loops can recycle one
- * ModelResult. When @p fast is non-null its hashed memos replace the
- * EvalContext lookups; the values are bitwise identical either way.
+ * The evaluation core behind every entry point: fills @p res in place
+ * (clearing reused buffers) so batch loops can recycle one ModelResult.
  */
 void evaluateModelInto(EvalContext &ctx, const CoreConfig &cfg,
-                       const ModelOptions &opts, ModelResult &res,
-                       BatchEval *fast = nullptr);
+                       const ModelOptions &opts, ModelResult &res);
 
 } // namespace mipp
 

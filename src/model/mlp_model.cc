@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
 
 namespace mipp {
 
@@ -375,18 +374,6 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
         m.depth = std::max(sp.avgLoadDepth(), 1.0);
         m.gap = std::max(sp.avgGap(), 1.0);
         m.serialChain = m.chase && m.depth >= 3.0;
-        if (!m.chase) {
-            StrideClass sc = sp.strideClass();
-            bool strided = sc == StrideClass::SingleStride ||
-                           sc == StrideClass::TwoStride ||
-                           sc == StrideClass::ThreeStride ||
-                           sc == StrideClass::FourStride;
-            if (strided) {
-                auto dom = sp.dominantStrides();
-                m.stridedInPage = !dom.empty() &&
-                                  std::llabs(dom.front()) < 4096;
-            }
-        }
     }
 
     if (!p.windows.empty()) {
@@ -405,6 +392,14 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
     for (size_t wi = 0; wi < p.windows.size(); ++wi) {
         const WindowProfile &w = p.windows[wi];
         WindowSkeleton &sk = windows_[wi];
+        size_t events = 0;
+        for (const auto &[opIdx, count] : w.memCounts)
+            if (!p.memOps[opIdx].isStore)
+                events += count;
+        if (events == 0)
+            continue;
+        sk.buildOp.reserve(events);
+        sk.sorted.reserve(events);
         for (const auto &[opIdx, count] : w.memCounts) {
             const StaticMemProfile &sp = p.memOps[opIdx];
             if (sp.isStore)
@@ -412,23 +407,47 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
             double first = std::min(sp.avgFirstPos(), mtSize - 1.0);
             double gap = ops_[opIdx].gap;
             for (uint32_t k = 0; k < count; ++k) {
+                sk.sorted.push_back({first + k * gap,
+                                     static_cast<uint32_t>(
+                                         sk.buildOp.size())});
                 sk.buildOp.push_back(opIdx);
-                sk.buildPos.push_back(first + k * gap);
             }
         }
-        if (sk.buildPos.empty())
-            continue;
         // std::sort's swap decisions are a function of the comparison
-        // outcomes alone, so sorting indices by pos applies the same
-        // permutation strideMlp's sort of the full events does.
-        sk.perm.resize(sk.buildPos.size());
-        std::iota(sk.perm.begin(), sk.perm.end(), 0u);
-        std::sort(sk.perm.begin(), sk.perm.end(),
-                  [&sk](uint32_t a, uint32_t b) {
-                      return sk.buildPos[a] < sk.buildPos[b];
+        // outcomes alone, so sorting (pos, build index) pairs by pos
+        // applies the same permutation strideMlp's sort of the full
+        // events does.
+        std::sort(sk.sorted.begin(), sk.sorted.end(),
+                  [](const SortedEvent &a, const SortedEvent &b) {
+                      return a.pos < b.pos;
                   });
-        sk.maxPos = sk.buildPos[sk.perm.back()] + 1;
+        sk.maxPos = sk.sorted.back().pos + 1;
     }
+}
+
+void
+StrideMlpCache::classifyStrides()
+{
+    // Only the prefetcher path reads the stride classes, so a cache that
+    // never models a prefetcher never pays for the per-op histograms.
+    if (stridesClassified_)
+        return;
+    for (size_t i = 0; i < ops_.size(); ++i) {
+        OpStatics &m = ops_[i];
+        if (!m.isLoad || m.chase)
+            continue;
+        const StaticMemProfile &sp = p_.memOps[i];
+        StrideClass sc = sp.strideClass();
+        bool strided = sc == StrideClass::SingleStride ||
+                       sc == StrideClass::TwoStride ||
+                       sc == StrideClass::ThreeStride ||
+                       sc == StrideClass::FourStride;
+        if (strided) {
+            auto dom = sp.dominantStrides();
+            m.stridedInPage = !dom.empty() && std::llabs(dom.front()) < 4096;
+        }
+    }
+    stridesClassified_ = true;
 }
 
 const StrideMlpCache::L3State &
@@ -488,6 +507,7 @@ StrideMlpCache::l3State(uint32_t l3Lines, bool redistributeCold)
         double factor = (redistributeCold && expMissesW[wi] > 1e-9) ?
             adjMissesW[wi] * renorm / expMissesW[wi] : 1.0;
         flag.assign(sk.buildOp.size(), 0);
+        size_t misses = 0;
         for (size_t e = 0; e < sk.buildOp.size(); ++e) {
             uint32_t op = sk.buildOp[e];
             double missProb = std::min(st.mrLlc[op] * factor, 1.0);
@@ -495,13 +515,14 @@ StrideMlpCache::l3State(uint32_t l3Lines, bool redistributeCold)
             if (missAcc[op] >= 1.0) {
                 missAcc[op] -= 1.0;
                 flag[e] = 1;
+                ++misses;
             }
         }
         std::vector<MissEvent> &mev = st.missEvents[wi];
-        for (uint32_t e : sk.perm) {
-            if (flag[e])
-                mev.push_back({sk.buildPos[e], sk.buildOp[e]});
-        }
+        mev.reserve(misses);
+        for (const SortedEvent &ev : sk.sorted)
+            if (flag[ev.buildIdx])
+                mev.push_back({ev.pos, sk.buildOp[ev.buildIdx]});
     }
     return st;
 }
@@ -521,6 +542,7 @@ StrideMlpCache::estimate(const CoreConfig &cfg, const MlpOptions &opt)
     const bool tableHolds = staticLoads_ <= cfg.prefetcherEntries;
     std::vector<double> latFactor;
     if (prefetch && tableHolds) {
+        classifyStrides();
         latFactor.assign(ops_.size(), 1.0);
         for (size_t i = 0; i < ops_.size(); ++i) {
             const OpStatics &m = ops_[i];
@@ -542,7 +564,7 @@ StrideMlpCache::estimate(const CoreConfig &cfg, const MlpOptions &opt)
     est.windows.reserve(p_.windows.size());
     for (size_t wi = 0; wi < windows_.size(); ++wi) {
         const WindowSkeleton &sk = windows_[wi];
-        if (sk.buildPos.empty()) {
+        if (sk.buildOp.empty()) {
             est.windows.push_back({});
             continue;
         }

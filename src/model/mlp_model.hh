@@ -85,7 +85,7 @@ MlpEstimate strideMlp(const Profile &p, const CoreConfig &cfg,
                       const StatStack &ss, const MlpOptions &opt = {});
 
 /**
- * Factored stride-MLP evaluator for batched sweeps. strideMlp() rebuilds
+ * Factored stride-MLP evaluator behind EvalContext. strideMlp() rebuilds
  * and sorts the virtual load stream per call, but most of that work is
  * configuration independent: the event positions and the sort permutation
  * depend only on the profile, and the StatStack miss marking depends only
@@ -114,19 +114,24 @@ class StrideMlpCache {
         bool isLoad = false;
         bool chase = false;
         bool serialChain = false;
-        bool stridedInPage = false;  ///< prefetchable if enabled+tracked
+        /** Prefetchable if enabled+tracked (set by classifyStrides). */
+        bool stridedInPage = false;
     };
     /** A marked LLC miss of the sorted virtual load stream. */
     struct MissEvent {
         double pos;
         uint32_t opIdx;
     };
+    /** One event of the virtual load stream in sorted order. */
+    struct SortedEvent {
+        double pos;
+        uint32_t buildIdx;  ///< index into WindowSkeleton::buildOp
+    };
     /** Per-profile-window stream skeleton (positions + sort order). */
     struct WindowSkeleton {
-        std::vector<uint32_t> buildOp;  ///< op per event, build order
-        std::vector<double> buildPos;
-        std::vector<uint32_t> perm;     ///< sorted rank -> build index
-        double maxPos = 0;              ///< last sorted pos + 1
+        std::vector<uint32_t> buildOp;     ///< op per event, build order
+        std::vector<SortedEvent> sorted;   ///< events by ascending pos
+        double maxPos = 0;                 ///< last sorted pos + 1
     };
     /** Miss marking for one (LLC lines, redistributeCold) pair. */
     struct L3State {
@@ -140,6 +145,7 @@ class StrideMlpCache {
     };
 
     const L3State &l3State(uint32_t l3Lines, bool redistributeCold);
+    void classifyStrides();
 
     const Profile &p_;
     const StatStack &ss_;
@@ -147,6 +153,7 @@ class StrideMlpCache {
     std::vector<WindowSkeleton> windows_;
     std::vector<L3State> l3States_;
     uint32_t staticLoads_ = 0;
+    bool stridesClassified_ = false;
     double coldAvg_ = 0;
     double coldTotal_ = 0;
     double uopsTotal_ = 0;

@@ -201,8 +201,9 @@ struct Server::Impl {
         // without copying (the warm ModelEvalPool is keyed on profile
         // identity; a copy would defeat it).
         std::vector<Profile> profile;
-        std::unique_ptr<EvalContext> ctx; // built on first evaluate
-        ModelEvalPool pool;               // warm sweep evaluators
+        // The entry's one model state: evaluate and sweep share the
+        // pooled EvalContext (built on first use).
+        ModelEvalPool pool;
         std::mutex mu; // serializes model state (not thread-safe)
     };
 
@@ -866,10 +867,8 @@ struct Server::Impl {
             return st;
 
         std::lock_guard<std::mutex> lk(entry->mu);
-        if (!entry->ctx)
-            entry->ctx =
-                std::make_unique<EvalContext>(entry->profile[0]);
-        ModelResult m = evaluateModel(*entry->ctx, cfg, {});
+        ModelResult m =
+            evaluateModel(entry->pool.get(0, entry->profile[0]), cfg, {});
         PowerBreakdown pw = computePower(m.activity, cfg);
 
         key(body, "cpi");

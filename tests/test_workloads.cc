@@ -11,6 +11,16 @@
 #include "workloads/workload.hh"
 
 namespace mipp {
+
+/** Print a workload by name in parameterized test IDs. gtest's default
+ *  dumps the spec's raw bytes, which begin with the name string's heap
+ *  pointer, so the IDs would change with address-space layout. Found by
+ *  ADL, so it must live in namespace mipp, not the unnamed one. */
+void PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(Workload, DeterministicForSameSpec)

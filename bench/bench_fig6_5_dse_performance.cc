@@ -24,18 +24,19 @@ main()
                          suiteWorkload("balanced_mix")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
 
     std::printf("%-30s %-14s %9s %9s %8s\n", "config", "workload",
                 "sim CPI", "mod CPI", "err");
     std::vector<double> errs;
-    for (const auto &pt : points) {
-        errs.push_back(100 * pt.cpiError());
-        std::printf("%-30s %-14s %9.3f %9.3f %7.1f%%\n",
-                    space[pt.configIdx].name.c_str(),
-                    b.specs[pt.workloadIdx].name.c_str(), pt.simCpi,
-                    pt.modelCpi, 100 * pt.cpiError());
-    }
+    for (size_t ci = 0; ci < r.nConfigs; ++ci)
+        for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
+            const SweepPoint &pt = r.at(wi, ci);
+            errs.push_back(100 * pt.cpiError());
+            std::printf("%-30s %-14s %9.3f %9.3f %7.1f%%\n",
+                        space[ci].name.c_str(), b.specs[wi].name.c_str(),
+                        pt.simCpi, pt.modelCpi, 100 * pt.cpiError());
+        }
     std::printf("\ndesign-space CPI error: avg |err| %.1f%%, max %.1f%%  "
                 "(paper: 9.3%%-13%% avg)\n",
                 meanAbs(errs), maxAbs(errs));

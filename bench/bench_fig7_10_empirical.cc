@@ -25,20 +25,21 @@ main()
                          suiteWorkload("mix_mid")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
 
-    // Train the empirical model on half the simulated points.
+    // Train the empirical model on half the simulated points, drawn in
+    // config-major order (the seeded split is positional).
     Rng rng(2026);
     EmpiricalModel emp;
-    std::vector<bool> isTraining(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        isTraining[i] = rng.chance(0.5);
-        if (isTraining[i]) {
-            const auto &pt = points[i];
-            emp.addSample(space[pt.configIdx], b.profiles[pt.workloadIdx],
-                          pt.simCpi, pt.simWatts);
+    std::vector<bool> isTraining(r.points.size());
+    for (size_t ci = 0; ci < r.nConfigs; ++ci)
+        for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
+            const size_t i = wi * r.nConfigs + ci;
+            isTraining[i] = rng.chance(0.5);
+            if (isTraining[i])
+                emp.addSample(space[ci], b.profiles[wi], r.points[i].simCpi,
+                              r.points[i].simWatts);
         }
-    }
     if (!emp.train()) {
         std::printf("empirical model under-determined\n");
         return 1;
@@ -46,15 +47,15 @@ main()
 
     // Held-out accuracy of both models.
     std::vector<double> mechErr, empErr;
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (isTraining[i])
-            continue;
-        const auto &pt = points[i];
-        double e = emp.predictCpi(space[pt.configIdx],
-                                  b.profiles[pt.workloadIdx]);
-        mechErr.push_back(100 * pt.cpiError());
-        empErr.push_back(pctErr(e, pt.simCpi));
-    }
+    for (size_t ci = 0; ci < r.nConfigs; ++ci)
+        for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
+            if (isTraining[wi * r.nConfigs + ci])
+                continue;
+            const SweepPoint &pt = r.at(wi, ci);
+            double e = emp.predictCpi(space[ci], b.profiles[wi]);
+            mechErr.push_back(100 * pt.cpiError());
+            empErr.push_back(pctErr(e, pt.simCpi));
+        }
     std::printf("held-out CPI avg |err|: mechanistic %.1f%%, empirical "
                 "%.1f%%\n\n", meanAbs(mechErr), meanAbs(empErr));
 
@@ -66,12 +67,11 @@ main()
     double mh = 0, eh = 0;
     for (size_t wi = 0; wi < b.size(); ++wi) {
         std::vector<Objective> trueObj, mechObj, empObj;
-        for (const auto &pt : points) {
-            if (pt.workloadIdx != wi)
-                continue;
+        for (size_t ci = 0; ci < r.nConfigs; ++ci) {
+            const SweepPoint &pt = r.at(wi, ci);
             trueObj.push_back({pt.simCpi, pt.simWatts});
             mechObj.push_back({pt.modelCpi, pt.modelWatts});
-            const CoreConfig &cfg = space[pt.configIdx];
+            const CoreConfig &cfg = space[ci];
             empObj.push_back(
                 {emp.predictCpi(cfg, b.profiles[wi]),
                  emp.predictPower(cfg, b.profiles[wi])});

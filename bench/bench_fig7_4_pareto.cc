@@ -18,17 +18,14 @@ main()
                          suiteWorkload("mix_mid")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
 
     for (size_t wi = 0; wi < b.size(); ++wi) {
         std::vector<Objective> trueObj, predObj;
-        std::vector<size_t> cfgIdx;
-        for (const auto &pt : points) {
-            if (pt.workloadIdx != wi)
-                continue;
+        for (size_t ci = 0; ci < r.nConfigs; ++ci) {
+            const SweepPoint &pt = r.at(wi, ci);
             trueObj.push_back({pt.simCpi, pt.simWatts});
             predObj.push_back({pt.modelCpi, pt.modelWatts});
-            cfgIdx.push_back(pt.configIdx);
         }
         auto tf = paretoFront(trueObj);
         auto pf = paretoFront(predObj);
@@ -37,14 +34,14 @@ main()
                     b.specs[wi].name.c_str());
         for (size_t i : tf)
             std::printf("  %-30s CPI %7.3f  W %6.2f\n",
-                        space[cfgIdx[i]].name.c_str(), trueObj[i].first,
+                        space[i].name.c_str(), trueObj[i].first,
                         trueObj[i].second);
         std::printf("%s — predicted Pareto front (model):\n",
                     b.specs[wi].name.c_str());
         for (size_t i : pf)
             std::printf("  %-30s CPI %7.3f  W %6.2f  (true: %7.3f / "
                         "%6.2f)\n",
-                        space[cfgIdx[i]].name.c_str(), predObj[i].first,
+                        space[i].name.c_str(), predObj[i].first,
                         predObj[i].second, trueObj[i].first,
                         trueObj[i].second);
         auto m = compareFronts(trueObj, predObj);

@@ -12,10 +12,9 @@
  *                   (the paper's §7 prune-then-validate workflow)
  *   --mode paired   simulate + model every point (ground-truth reference;
  *                   slow — O(points x sim))
- *   --streaming     batched streaming sweep (ModelOnlyPareto): results
- *                   fold into per-workload Pareto accumulators as they
- *                   are produced, so the point grid is never materialized
- *                   and memory stays O(front) however large the space
+ *   --streaming     streaming sweep (ModelOnlyPareto): the model mode
+ *                   without the point grid, so memory stays O(front)
+ *                   however large the space
  *
  * Other flags:
  *   --threads N     sweep concurrency (0 = all cores, 1 = serial)
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "dse/explorer.hh"
-#include "dse/pareto.hh"
 #include "profiler/profiler.hh"
 #include "sweep_flags.hh"
 #include "uarch/design_space.hh"
@@ -102,22 +100,8 @@ main(int argc, char **argv)
                 r.simInvocations, points, points ? ms / points : 0);
 
     for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
-        // Model-front modes (including streaming, which never
-        // materializes the point grid) deliver the front points
-        // directly; Paired derives them here so every mode prints the
-        // same report.
-        std::vector<SweepPoint> front;
-        if (wi < r.frontPoints.size() &&
-            sopts.mode != SweepMode::Paired) {
-            front = r.frontPoints[wi];
-        } else {
-            std::vector<Objective> obj;
-            for (size_t ci = 0; ci < r.nConfigs; ++ci)
-                obj.push_back({r.at(wi, ci).modelCpi,
-                               r.at(wi, ci).modelWatts});
-            for (size_t ci : paretoFront(obj))
-                front.push_back(r.at(wi, ci));
-        }
+        // Every mode delivers the model front directly.
+        const std::vector<SweepPoint> &front = r.frontPoints[wi];
         std::printf("%s — predicted Pareto front (%zu of %zu designs):\n",
                     names[wi].c_str(), front.size(), r.nConfigs);
         for (const SweepPoint &pt : front) {

@@ -76,7 +76,6 @@
 
 #include "cli/cli_help.hh"
 #include "dse/explorer.hh"
-#include "dse/pareto.hh"
 #include "model/interval_model.hh"
 #include "obs/trace.hh"
 #include "power/power_model.hh"
@@ -382,26 +381,13 @@ cmdSweep(int argc, char **argv)
             uops = static_cast<size_t>(profiles[0].totalUops);
         traces.push_back(
             generateWorkload(suiteWorkload(profiles[0].name), uops));
-    } else {
-        traces.emplace_back();
     }
 
     SweepResult r = sweepEx(traces, profiles, space.configs(), {}, sopts);
+    throwIfError(r.status);
 
-    // Model-front modes (including streaming, which never materializes
-    // the point grid) deliver the front directly; Paired computes it
-    // here from the full grid.
-    std::vector<SweepPoint> front =
-        r.frontPoints.empty() ? std::vector<SweepPoint>{}
-                              : r.frontPoints[0];
-    if (front.empty() && !r.points.empty()) {
-        std::vector<Objective> obj;
-        for (size_t ci = 0; ci < r.nConfigs; ++ci)
-            obj.push_back(
-                {r.at(0, ci).modelCpi, r.at(0, ci).modelWatts});
-        for (size_t ci : paretoFront(obj))
-            front.push_back(r.at(0, ci));
-    }
+    // Every mode delivers the model front directly.
+    const std::vector<SweepPoint> &front = r.frontPoints[0];
     std::printf("predicted Pareto frontier for %s (%zu of %zu designs, "
                 "%zu simulations spent):\n",
                 profiles[0].name.c_str(), front.size(), space.size(),

@@ -4,7 +4,7 @@
  * (design_space_exploration and mipp_cli's `sweep` subcommand):
  *
  *   --mode model|pareto|paired   SweepMode selection
- *   --streaming                  batched streaming sweep (ModelOnlyPareto:
+ *   --streaming                  streaming sweep (ModelOnlyPareto:
  *                                O(front) memory, no point grid)
  *   --threads N                  sweep concurrency (0 = all cores)
  *   --validate N                 off-front validation simulations per

@@ -69,20 +69,19 @@ struct Span {
 };
 
 /**
- * Chunk the workload-major point grid. Several chunks per execution
- * stream so uneven point costs still balance, but the grain respects
- * workload boundaries: a chunk never straddles two workloads, so one
- * memoized EvalContext serves every point in it. (The old config-major
- * mapping `wi = i % nw` interleaved workloads, thrashing any per-workload
- * state on every index.)
+ * Chunk the workload-major point grid: one shard per workload unless
+ * extra streams are idle. A shard never straddles two workloads, so one
+ * memoized EvalContext serves every point in it. Model points cost
+ * near-uniform time, so grains finer than the stream count only multiply
+ * cold evaluator builds (and defeat the eval pool's whole-workload reuse).
  */
 std::vector<Span>
-workloadMajorChunks(size_t nw, size_t nc, unsigned streams)
+workloadChunks(size_t nw, size_t nc, unsigned streams)
 {
     std::vector<Span> spans;
     if (nw == 0 || nc == 0)
         return spans;
-    size_t target = std::max<size_t>(1, 4 * streams);
+    size_t target = std::max<size_t>(1, streams);
     size_t perWorkload = std::max<size_t>(1, (target + nw - 1) / nw);
     perWorkload = std::min(perWorkload, nc);
     size_t grain = (nc + perWorkload - 1) / perWorkload;
@@ -99,45 +98,6 @@ streamCount(unsigned threads)
     if (threads != 0)
         streams = std::min(streams, threads);
     return streams;
-}
-
-/** Model every point, one EvalContext per (workload, chunk). Stops
- *  starting new work once @p cancel fires; untouched points keep
- *  evaluated == false. */
-void
-modelPass(const std::vector<Profile> &profiles,
-          const std::vector<CoreConfig> &configs, SweepResult &res,
-          const ModelOptions &mopts, unsigned threads,
-          const CancelToken &cancel)
-{
-    const size_t nc = res.nConfigs;
-    auto spans =
-        workloadMajorChunks(res.nWorkloads, nc, streamCount(threads));
-    parallelForShared(spans.size(), threads, [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            if (cancel.cancelled())
-                return;
-            // Test hook: stretch chunk execution so a deadline can be
-            // made to expire mid-sweep deterministically. The injected
-            // delay waits on the sweep's token, so a cancelled request
-            // is not held hostage by its own fault injection.
-            (void)MIPP_FAILPOINT_C("dse.chunk_delay", &cancel);
-            MIPP_SPAN("dse.chunk");
-            const Span &sp = spans[s];
-            EvalContext ctx(profiles[sp.wi]);
-            for (size_t ci = sp.c0; ci < sp.c1; ++ci) {
-                if (cancel.cancelled())
-                    return;
-                ModelResult m = evaluateModel(ctx, configs[ci], mopts);
-                SweepPoint &pt = res.points[sp.wi * nc + ci];
-                pt.configIdx = ci;
-                pt.workloadIdx = sp.wi;
-                pt.modelCpi = m.cpiPerUop();
-                pt.modelWatts = computePower(m.activity, configs[ci]).total();
-                pt.evaluated = true;
-            }
-        }
-    });
 }
 
 /** Detail-simulate the selected (workload, config) pairs. Checks the
@@ -167,77 +127,29 @@ simPass(const std::vector<Trace> &traces,
     res.simInvocations += invoked.load(std::memory_order_relaxed);
 }
 
-/** Per-workload Pareto fronts over the model objectives. Only points
- *  the model pass reached participate: a degraded sweep's front is the
- *  true front of the evaluated subset, not polluted by the zero-CPI
- *  placeholders of never-evaluated points. */
-void
-extractModelFronts(SweepResult &res)
-{
-    res.modelFronts.assign(res.nWorkloads, {});
-    res.frontPoints.assign(res.nWorkloads, {});
-    for (size_t wi = 0; wi < res.nWorkloads; ++wi) {
-        std::vector<Objective> obj;
-        std::vector<size_t> cis;
-        obj.reserve(res.nConfigs);
-        for (size_t ci = 0; ci < res.nConfigs; ++ci) {
-            const SweepPoint &pt = res.at(wi, ci);
-            if (!pt.evaluated)
-                continue;
-            obj.push_back({pt.modelCpi, pt.modelWatts});
-            cis.push_back(ci);
-        }
-        // paretoFront indices are positions in obj; map back to config
-        // indices (identity for a completed sweep).
-        for (size_t k : paretoFront(obj))
-            res.modelFronts[wi].push_back(cis[k]);
-        for (size_t ci : res.modelFronts[wi])
-            res.frontPoints[wi].push_back(res.at(wi, ci));
-    }
-}
-
 /**
- * Chunking for the streaming model pass: one shard per workload unless
- * extra streams are idle. Model-only points cost near-uniform time, so
- * grains finer than the stream count only multiply cold evaluator
- * builds (and defeat the eval pool's whole-workload reuse).
- */
-std::vector<Span>
-streamingChunks(size_t nw, size_t nc, unsigned streams)
-{
-    std::vector<Span> spans;
-    if (nw == 0 || nc == 0)
-        return spans;
-    size_t target = std::max<size_t>(1, streams);
-    size_t perWorkload = std::max<size_t>(1, (target + nw - 1) / nw);
-    perWorkload = std::min(perWorkload, nc);
-    size_t grain = (nc + perWorkload - 1) / perWorkload;
-    for (size_t wi = 0; wi < nw; ++wi)
-        for (size_t c0 = 0; c0 < nc; c0 += grain)
-            spans.push_back({wi, c0, std::min(nc, c0 + grain)});
-    return spans;
-}
-
-/**
- * Streaming model pass (SweepMode::ModelOnlyPareto): evaluate every
- * point through a BatchEval loop in fixed-size batches and fold the
- * (CPI, watts) objectives straight into per-shard Pareto accumulators —
- * no SweepPoint grid. Shard accumulators merge per workload at the end;
- * the model values are the ones ModelOnly computes, so the merged fronts
- * equal ModelOnly's paretoFront() output exactly.
+ * The model pass of every sweep mode: evaluate every point through a
+ * BatchEval loop in fixed-size batches and fold the (CPI, watts)
+ * objectives into per-shard Pareto accumulators, which merge per
+ * workload into res.modelFronts / res.frontPoints. When res.points is
+ * pre-sized the batch outputs are also written into that grid; otherwise
+ * (streaming) nothing but the fronts is kept.
+ * Stops starting new batches once the cancel token fires; only points
+ * actually evaluated reach the fronts (and have evaluated == true).
  *
  * Exactly one of @p configs / @p gen is non-null: explicit config spans
  * are evaluated in place, generated spaces one scratch batch at a time.
  */
 void
-streamingModelPass(const std::vector<Profile> &profiles,
-                   const std::vector<CoreConfig> *configs,
-                   const ConfigGenerator *gen, SweepResult &res,
-                   const ModelOptions &mopts, const SweepOptions &sopts)
+modelPass(const std::vector<Profile> &profiles,
+          const std::vector<CoreConfig> *configs, const ConfigGenerator *gen,
+          SweepResult &res, const ModelOptions &mopts,
+          const SweepOptions &sopts)
 {
     const size_t nw = res.nWorkloads;
     const size_t nc = res.nConfigs;
-    auto spans = streamingChunks(nw, nc, streamCount(sopts.threads));
+    const bool grid = !res.points.empty();
+    auto spans = workloadChunks(nw, nc, streamCount(sopts.threads));
 
     // Power parameters are workload-independent; precompute them once
     // for explicit multi-workload spaces so every workload shares the
@@ -262,6 +174,11 @@ streamingModelPass(const std::vector<Profile> &profiles,
             for (size_t s = begin; s < end; ++s) {
                 if (sopts.cancel.cancelled())
                     return;
+                // Test hook: stretch chunk execution so a deadline can
+                // be made to expire mid-sweep deterministically. The
+                // injected delay waits on the sweep's token, so a
+                // cancelled request is not held hostage by its own
+                // fault injection.
                 (void)MIPP_FAILPOINT_C("dse.chunk_delay",
                                        &sopts.cancel);
                 MIPP_SPAN("dse.chunk");
@@ -292,9 +209,19 @@ streamingModelPass(const std::vector<Profile> &profiles,
                     }
                     be.evaluate(cfgs, n, out.data(),
                                 pp.empty() ? nullptr : pp.data() + c0);
-                    for (size_t j = 0; j < n; ++j)
+                    for (size_t j = 0; j < n; ++j) {
+                        const size_t ci = c0 + j;
                         acc.insert({out[j].modelCpi, out[j].modelWatts},
-                                   c0 + j);
+                                   ci);
+                        if (!grid)
+                            continue;
+                        SweepPoint &pt = res.points[sp.wi * nc + ci];
+                        pt.configIdx = ci;
+                        pt.workloadIdx = sp.wi;
+                        pt.modelCpi = out[j].modelCpi;
+                        pt.modelWatts = out[j].modelWatts;
+                        pt.evaluated = true;
+                    }
                 }
             }
         });
@@ -321,6 +248,7 @@ streamingModelPass(const std::vector<Profile> &profiles,
             pt.workloadIdx = wi;
             pt.modelCpi = en.obj.first;
             pt.modelWatts = en.obj.second;
+            pt.evaluated = true;
             fps.push_back(pt);
         }
         std::sort(fps.begin(), fps.end(),
@@ -357,10 +285,6 @@ selectValidationPairs(const SweepResult &res, size_t validationSamples)
     }
     return pairs;
 }
-
-} // namespace
-
-namespace {
 
 /** Shared input validation: an empty sweep is a caller mistake, not a
  *  trivially-empty result that sails through downstream consumers. */
@@ -399,19 +323,12 @@ sweepEx(const std::vector<Trace> &traces,
     if (!res.status.isOk())
         return res;
 
-    if (sopts.mode == SweepMode::ModelOnlyPareto) {
-        // Streaming: no point grid is ever materialized (O(front)).
-        streamingModelPass(profiles, &configs, nullptr, res, mopts,
-                           sopts);
-        res.degraded = sopts.cancel.cancelled();
-        return res;
-    }
+    // Streaming never materializes the point grid (O(front)); every
+    // other mode pre-sizes it, index-addressed (see SweepResult::points).
+    if (sopts.mode != SweepMode::ModelOnlyPareto)
+        res.points.assign(res.nWorkloads * res.nConfigs, {});
 
-    // Pre-sized, index-addressed (see SweepResult::points doc).
-    res.points.assign(res.nWorkloads * res.nConfigs, {});
-
-    modelPass(profiles, configs, res, mopts, sopts.threads,
-              sopts.cancel);
+    modelPass(profiles, &configs, nullptr, res, mopts, sopts);
 
     switch (sopts.mode) {
       case SweepMode::Paired: {
@@ -423,11 +340,7 @@ sweepEx(const std::vector<Trace> &traces,
         simPass(traces, configs, all, res, sopts.threads, sopts.cancel);
         break;
       }
-      case SweepMode::ModelOnly:
-        extractModelFronts(res);
-        break;
       case SweepMode::ModelThenSimPareto: {
-        extractModelFronts(res);
         // Graceful degradation: when the deadline already fired (or
         // fires between sims), the remaining simulation budget is
         // dropped and the response is the model-only front — strictly
@@ -436,9 +349,18 @@ sweepEx(const std::vector<Trace> &traces,
         simPass(traces, configs, pairs, res, sopts.threads, sopts.cancel);
         break;
       }
+      case SweepMode::ModelOnly:
       case SweepMode::ModelOnlyPareto:
-        break;  // handled above (early return)
+        break;
     }
+
+    // Front points of a materialized sweep are refreshed from the grid
+    // after the simulations, so simulated front points carry their sim
+    // fields.
+    if (!res.points.empty())
+        for (std::vector<SweepPoint> &fps : res.frontPoints)
+            for (SweepPoint &pt : fps)
+                pt = res.at(pt.workloadIdx, pt.configIdx);
     res.degraded = sopts.cancel.cancelled();
     return res;
 }
@@ -456,34 +378,9 @@ sweepGenerated(const std::vector<Profile> &profiles, size_t nConfigs,
                                      SweepMode::ModelOnlyPareto);
     if (!res.status.isOk())
         return res;
-    streamingModelPass(profiles, nullptr, &gen, res, mopts, sopts);
+    modelPass(profiles, nullptr, &gen, res, mopts, sopts);
     res.degraded = sopts.cancel.cancelled();
     return res;
-}
-
-std::vector<SweepPoint>
-sweep(const std::vector<Trace> &traces,
-      const std::vector<Profile> &profiles,
-      const std::vector<CoreConfig> &configs, const ModelOptions &mopts,
-      unsigned threads)
-{
-    SweepOptions sopts;
-    sopts.mode = SweepMode::Paired;
-    sopts.threads = threads;
-    SweepResult res = sweepEx(traces, profiles, configs, mopts, sopts);
-    // The vector-returning wrapper has no status channel; surface
-    // structured input errors as the typed exception.
-    throwIfError(res.status);
-    // Preserve the historical config-major return order (point i was
-    // (wi = i % nw, ci = i / nw)): consumers like the fig-7.10 bench
-    // split points positionally with a seeded RNG, and reordering would
-    // silently change those regenerated figures.
-    std::vector<SweepPoint> points;
-    points.reserve(res.points.size());
-    for (size_t ci = 0; ci < res.nConfigs; ++ci)
-        for (size_t wi = 0; wi < res.nWorkloads; ++wi)
-            points.push_back(res.at(wi, ci));
-    return points;
 }
 
 } // namespace mipp

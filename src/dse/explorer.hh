@@ -14,21 +14,23 @@
  *    everywhere, the *model-side* Pareto front is extracted per workload,
  *    and detailed simulation runs only on front candidates plus a
  *    configurable validation sample. O(points × model + front × sim).
- *  - ModelOnlyPareto: ModelOnly with *streaming* Pareto accumulation.
- *    Points are evaluated in fixed-size batches through the same
- *    EvalContext memo tables every mode uses, and the results flow
- *    straight into an online per-workload ParetoAccumulator and are
- *    discarded, so peak memory is O(front), independent of the point
- *    count. The
- *    surviving fronts are bitwise identical to ModelOnly's (same model
- *    values, same tie handling). This is the mode that makes a
- *    million-point space practical; sweepGenerated() extends it to
- *    spaces too large to materialize even as a config vector.
+ *  - ModelOnlyPareto: ModelOnly without the point grid. Results are
+ *    discarded once folded into the fronts, so peak memory is O(front),
+ *    independent of the point count; the fronts are bitwise identical to
+ *    ModelOnly's. This is the mode that makes a million-point space
+ *    practical; sweepGenerated() extends it to spaces too large to
+ *    materialize even as a config vector.
+ *
+ * Every mode runs the same model pass: points are evaluated in
+ * fixed-size batches through a BatchEval over a memoized EvalContext and
+ * folded into online per-workload ParetoAccumulators, which become
+ * modelFronts/frontPoints in every mode. The materializing modes
+ * (all but ModelOnlyPareto) also write each batch into the point grid.
  *
  * Sweeps are workload-major: points for one workload are contiguous and
  * each worker chunk holds a single memoized EvalContext, so per-workload
  * state (StatStacks, chain weights, MLP walks) is built once per chunk
- * instead of once per point. Streaming sweeps can additionally keep those
+ * instead of once per point. Any mode can additionally keep those
  * contexts warm across calls via ModelEvalPool.
  */
 
@@ -90,8 +92,8 @@ enum class SweepMode {
 class EvalContext;
 
 /**
- * Reusable per-workload evaluation contexts for repeated streaming sweeps
- * against pinned profiles: the profile-level memo tables (StatStacks,
+ * Reusable per-workload evaluation contexts for repeated sweeps against
+ * pinned profiles: the profile-level memo tables (StatStacks,
  * stride-MLP walks, dispatch-limit entries...) stay warm across sweep
  * calls instead of being rebuilt per call. Entries are keyed by workload
  * index and validated against the profile identity; a mismatch rebuilds
@@ -99,10 +101,10 @@ class EvalContext;
  * so one entry serves sweeps under any ModelOptions.
  *
  * Lifetime: pooled entries pin their Profile like EvalContext does — the
- * profiles must outlive the pool, unmutated. Thread safety: a streaming
- * sweep consults the pool only when each workload maps to exactly one
- * shard (it calls reserve() up front, so concurrent get() calls touch
- * disjoint slots); direct users must serialize access themselves.
+ * profiles must outlive the pool, unmutated. Thread safety: a sweep
+ * consults the pool only when each workload maps to exactly one shard
+ * (it calls reserve() up front, so concurrent get() calls touch disjoint
+ * slots); direct users must serialize access themselves.
  */
 class ModelEvalPool
 {
@@ -143,9 +145,9 @@ struct SweepOptions {
      */
     size_t validationSamples = 0;
 
-    /** Streaming modes: optional cross-call context pool (see
-     *  ModelEvalPool). The pool must outlive the sweep call; profiles
-     *  must outlive the pool. Ignored by non-streaming modes. */
+    /** Optional cross-call context pool (see ModelEvalPool), honoured
+     *  by every mode. The pool must outlive the sweep call; profiles
+     *  must outlive the pool. */
     ModelEvalPool *evalPool = nullptr;
 
     /**
@@ -195,7 +197,9 @@ struct SweepResult {
      * Workload-major: points[wi * nConfigs + ci]. Pre-sized and written
      * in place by the workers — each point index is owned by exactly one
      * chunk, so index-addressed writes need no synchronization (a
-     * reserve/emplace scheme would).
+     * reserve/emplace scheme would). sweepEx is the only entry point
+     * for explicit spaces; a consumer that needs config-major order
+     * loops at(wi, ci) with ci outermost. Empty in ModelOnlyPareto.
      */
     std::vector<SweepPoint> points;
     size_t nWorkloads = 0;
@@ -207,8 +211,7 @@ struct SweepResult {
     /**
      * Structured outcome. InvalidArgument (empty design space, no
      * workloads, trace/profile count mismatch) comes back here instead
-     * of as a silently empty result; the legacy sweep() wrapper throws
-     * it as a StatusError. A degraded sweep still reports Ok.
+     * of as a silently empty result. A degraded sweep still reports Ok.
      */
     Status status;
 
@@ -216,17 +219,19 @@ struct SweepResult {
      *  valid partial (see SweepOptions::cancel), not the full space. */
     bool degraded = false;
 
-    /** Per workload, config indices of the model-predicted Pareto front
-     *  over (model CPI, model watts). Filled in ModelOnly,
-     *  ModelThenSimPareto and ModelOnlyPareto modes. */
+    /** Per workload, config indices (ascending) of the model-predicted
+     *  Pareto front over (model CPI, model watts). Filled in every mode;
+     *  a degraded sweep's front covers the evaluated points only. */
     std::vector<std::vector<size_t>> modelFronts;
 
     /**
      * Per workload, the front points themselves (ascending configIdx,
-     * mirroring modelFronts). In streaming ModelOnlyPareto mode this is
+     * mirroring modelFronts), filled in every mode so consumers read
+     * fronts uniformly. In a materializing mode they are copies of the
+     * grid points taken after simulation, so simulated front points
+     * carry their sim fields. In streaming ModelOnlyPareto mode this is
      * the only per-point output — `points` stays empty so the sweep runs
-     * in O(front) memory — but it is filled by the materializing
-     * model-front modes too, so consumers can read fronts uniformly.
+     * in O(front) memory.
      */
     std::vector<std::vector<SweepPoint>> frontPoints;
 
@@ -266,17 +271,6 @@ SweepResult sweepGenerated(const std::vector<Profile> &profiles,
                            size_t nConfigs, const ConfigGenerator &gen,
                            const ModelOptions &mopts = {},
                            const SweepOptions &sopts = {});
-
-/**
- * Compatibility wrapper: Paired sweep over all pairs, returning the bare
- * point list in the historical config-major order (point i is
- * workload i % nWorkloads, config i / nWorkloads).
- */
-std::vector<SweepPoint>
-sweep(const std::vector<Trace> &traces,
-      const std::vector<Profile> &profiles,
-      const std::vector<CoreConfig> &configs,
-      const ModelOptions &mopts = {}, unsigned threads = 0);
 
 } // namespace mipp
 

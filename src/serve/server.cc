@@ -913,9 +913,8 @@ struct Server::Impl {
         // Model evaluation shares one memoized state per workload; the
         // entry lock also keeps two sweeps off the same warm pool.
         std::unique_lock<std::mutex> lk(entry->mu);
-        std::vector<Trace> traces(1);
-        SweepResult r = sweepEx(traces, entry->profile, space.configs(),
-                                {}, sopts);
+        SweepResult r =
+            sweepEx({}, entry->profile, space.configs(), {}, sopts);
         lk.unlock();
         if (!r.status.isOk())
             return r.status;

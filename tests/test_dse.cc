@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "dse/empirical.hh"
@@ -14,6 +16,7 @@
 #include "dse/pareto.hh"
 #include "profiler/profiler.hh"
 #include "trace/rng.hh"
+#include "uarch/design_space.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
@@ -266,7 +269,7 @@ TEST(Explorer, SweepCoversAllPairs)
         c.setWidth(w);
         configs.push_back(c);
     }
-    auto points = sweep(traces, profiles, configs);
+    auto points = sweepEx(traces, profiles, configs).points;
     ASSERT_EQ(points.size(), 4u);
     std::set<std::pair<size_t, size_t>> seen;
     for (const auto &pt : points) {
@@ -297,9 +300,6 @@ TEST(Explorer, EmptyInputsAreStructuredErrorsNotEmptyResults)
     // Paired mode must see one trace per profile.
     r = sweepEx({}, {p}, cfgs, {}, {});
     EXPECT_EQ(r.status.code(), StatusCode::InvalidArgument);
-
-    // The legacy wrapper surfaces the same condition as a StatusError.
-    EXPECT_THROW(sweep({t}, {p}, {}), StatusError);
 
     r = sweepGenerated({p}, 0, [](size_t, CoreConfig &) {});
     EXPECT_EQ(r.status.code(), StatusCode::InvalidArgument);
@@ -370,6 +370,101 @@ TEST(Explorer, DeadlineMidPairedSweepKeepsFinishedPoints)
     ASSERT_TRUE(r.status.isOk());
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.simInvocations, 0u);
+}
+
+/** Two workloads over the 27-point subspace, traces kept for sims. */
+struct SmallSpace {
+    std::vector<Trace> traces;
+    std::vector<Profile> profiles;
+    std::vector<CoreConfig> configs = DesignSpace::small().configs();
+
+    SmallSpace()
+    {
+        for (const char *name : {"loopy_small", "int_crunch"}) {
+            traces.push_back(generateWorkload(suiteWorkload(name), 20000));
+            ProfilerConfig pc;
+            pc.name = name;
+            profiles.push_back(profileTrace(traces.back(), pc));
+        }
+    }
+};
+
+/** Field-for-field, bitwise equality of two sweep points. */
+void
+expectSamePoint(const SweepPoint &a, const SweepPoint &b)
+{
+    auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+    EXPECT_EQ(a.configIdx, b.configIdx);
+    EXPECT_EQ(a.workloadIdx, b.workloadIdx);
+    EXPECT_EQ(bits(a.simCpi), bits(b.simCpi));
+    EXPECT_EQ(bits(a.modelCpi), bits(b.modelCpi));
+    EXPECT_EQ(bits(a.simWatts), bits(b.simWatts));
+    EXPECT_EQ(bits(a.modelWatts), bits(b.modelWatts));
+    EXPECT_EQ(a.simulated, b.simulated);
+    EXPECT_EQ(a.evaluated, b.evaluated);
+}
+
+TEST(Explorer, ParetoFrontPointsCarryTheirSimulation)
+{
+    SmallSpace f;
+    SweepOptions sopts;
+    sopts.mode = SweepMode::ModelThenSimPareto;
+    sopts.validationSamples = 1;
+    SweepResult r = sweepEx(f.traces, f.profiles, f.configs, {}, sopts);
+    ASSERT_TRUE(r.status.isOk());
+    ASSERT_EQ(r.modelFronts.size(), f.profiles.size());
+    ASSERT_EQ(r.frontPoints.size(), f.profiles.size());
+    for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
+        ASSERT_FALSE(r.modelFronts[wi].empty());
+        ASSERT_EQ(r.frontPoints[wi].size(), r.modelFronts[wi].size());
+        for (size_t k = 0; k < r.frontPoints[wi].size(); ++k) {
+            const SweepPoint &pt = r.frontPoints[wi][k];
+            expectSamePoint(pt, r.at(wi, r.modelFronts[wi][k]));
+            EXPECT_TRUE(pt.simulated);
+            EXPECT_GT(pt.simCpi, 0.0);
+        }
+    }
+}
+
+TEST(Explorer, PairedSweepReportsTheModelFront)
+{
+    SmallSpace f;
+    SweepResult r = sweepEx(f.traces, f.profiles, f.configs);
+    ASSERT_TRUE(r.status.isOk());
+    ASSERT_EQ(r.modelFronts.size(), f.profiles.size());
+    ASSERT_EQ(r.frontPoints.size(), f.profiles.size());
+    for (size_t wi = 0; wi < r.nWorkloads; ++wi) {
+        std::vector<Objective> obj;
+        for (size_t ci = 0; ci < r.nConfigs; ++ci)
+            obj.push_back({r.at(wi, ci).modelCpi, r.at(wi, ci).modelWatts});
+        EXPECT_EQ(r.modelFronts[wi], paretoFront(obj));
+        ASSERT_EQ(r.frontPoints[wi].size(), r.modelFronts[wi].size());
+        for (size_t k = 0; k < r.frontPoints[wi].size(); ++k)
+            expectSamePoint(r.frontPoints[wi][k],
+                            r.at(wi, r.modelFronts[wi][k]));
+    }
+}
+
+TEST(Explorer, PooledModelOnlyGridEqualsPoolLessGrid)
+{
+    SmallSpace f;
+    SweepOptions sopts;
+    sopts.mode = SweepMode::ModelOnly;
+    // One shard per workload: the regime in which the pool is consulted.
+    sopts.threads = static_cast<unsigned>(f.profiles.size());
+    SweepResult ref = sweepEx({}, f.profiles, f.configs, {}, sopts);
+    ASSERT_TRUE(ref.status.isOk());
+
+    ModelEvalPool pool;
+    sopts.evalPool = &pool;
+    for (int rep = 0; rep < 2; ++rep) { // rep 1 reuses the warm pool
+        SweepResult r = sweepEx({}, f.profiles, f.configs, {}, sopts);
+        ASSERT_TRUE(r.status.isOk());
+        ASSERT_EQ(r.points.size(), ref.points.size());
+        for (size_t i = 0; i < r.points.size(); ++i)
+            expectSamePoint(r.points[i], ref.points[i]);
+        EXPECT_EQ(r.modelFronts, ref.modelFronts);
+    }
 }
 
 } // namespace

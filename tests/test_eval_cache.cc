@@ -275,18 +275,6 @@ TEST(Sweep, PairedMatchesLegacySweepAndSimulatesEverything)
         EXPECT_GT(pt.simCpi, 0.0);
         EXPECT_GT(pt.modelCpi, 0.0);
     }
-    // The compat wrapper returns the same evaluations in the historical
-    // config-major order (point i = workload i % nw, config i / nw).
-    auto legacy = sweep(f.traces, f.profiles, f.configs);
-    ASSERT_EQ(legacy.size(), r.points.size());
-    const size_t nw = f.profiles.size();
-    for (size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].workloadIdx, i % nw);
-        EXPECT_EQ(legacy[i].configIdx, i / nw);
-        const SweepPoint &pt = r.at(i % nw, i / nw);
-        EXPECT_EQ(legacy[i].modelCpi, pt.modelCpi);
-        EXPECT_EQ(legacy[i].simCpi, pt.simCpi);
-    }
 }
 
 TEST(Sweep, ModelThenSimParetoPrunesSimulationToFrontPlusSample)

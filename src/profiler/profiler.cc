@@ -1,7 +1,11 @@
 #include "profiler/profiler.hh"
 
 #include <algorithm>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -19,16 +23,21 @@ size_t
 segmentSpan(uint64_t totalHint, unsigned threads, size_t winSize,
             size_t requested)
 {
-    uint64_t span;
+    // Derived spans: about 4 segments per thread, at most 4 windows
+    // each (the unknown-length default too). Measured on 1M-uop .mtf
+    // files of cold_sweep, branchy and mix_mid at 2 and 4 threads,
+    // 40k-80k-uop segments are fastest and within noise of each other;
+    // 140k is ~7% slower and 260k (one segment per thread) ~20%.
+    // Smaller segments let the serial absorb and the fetch hide behind
+    // the other loops' profiling and shrink the in-flight footprint.
+    constexpr uint64_t kSegmentsPerThread = 4;
+    constexpr uint64_t kMaxWindows = 4;
+    uint64_t span = kMaxWindows * static_cast<uint64_t>(winSize);
     if (requested) {
         span = requested;
     } else if (totalHint != TraceSource::kUnknownSize) {
-        span = (totalHint + threads - 1) / threads;
-    } else {
-        // Unknown stream length: big enough to amortize per-segment
-        // boundary resolution, small enough to keep the copy pipeline's
-        // footprint modest (threads * span uops in flight).
-        span = 64 * static_cast<uint64_t>(winSize);
+        uint64_t segs = kSegmentsPerThread * threads;
+        span = std::min(span, (totalHint + segs - 1) / segs);
     }
     span = (span + winSize - 1) / winSize * winSize;
     return static_cast<size_t>(std::max<uint64_t>(span, winSize));
@@ -38,6 +47,191 @@ unsigned
 effectiveThreads(unsigned requested)
 {
     return requested ? requested : ThreadPool::shared().concurrency();
+}
+
+/**
+ * Yields the stream's next @p span uops (fewer only at its tail; empty
+ * at its end), starting at uop @p base: a pointer into a materialized
+ * trace, or a copy into the calling loop's reused buffer @p buf. Called
+ * under the source lock, in stream order.
+ */
+using FetchFn = std::function<TraceSegment(uint64_t base, size_t span,
+                                           std::vector<MicroOp> &buf)>;
+
+/**
+ * The ordered segment pipeline behind both parallel entry points.
+ * `threads` worker loops run inside one parallelFor; each loop
+ * repeatedly
+ *   1. claims and fetches the next window-aligned span under the
+ *      source lock,
+ *   2. profiles it as a sealed Carry segment, holding no lock, and
+ *   3. publishes it; a loop that finds no absorber running becomes the
+ *      absorber and folds every ready segment into the Head in stream
+ *      order.
+ * Decode and absorb thus overlap with the other loops' profiling. The
+ * result is the Head's, so it is bit-identical to the sequential pass
+ * for any segmentation and any completion order.
+ *
+ * At most 2 * threads segments are claimed but not yet taken up by
+ * the absorber (plus the one it is folding in). Publishers absorb
+ * eagerly, so a loop at that bound has nothing to absorb itself: it
+ * waits for the stream-order-next segment, whose owner holds no lock
+ * while it profiles and absorbs it (or hands it to the running
+ * absorber) right after, so the wait always ends. That holds when
+ * parallelFor runs the loops one after another on a single thread (a
+ * call from inside a pool worker) too: a lone loop absorbs each
+ * segment before it claims the next and never reaches the bound.
+ */
+class SegmentPipeline
+{
+  public:
+    SegmentPipeline(const ProfilerConfig &cfg, unsigned threads,
+                    size_t span, FetchFn fetch)
+        : cfg_(cfg), threads_(threads), span_(span),
+          maxInFlight_(2 * size_t{threads}), fetch_(std::move(fetch)),
+          head_(cfg)
+    {
+    }
+
+    Profile
+    run() &&
+    {
+        ThreadPool::shared().parallelFor(
+            threads_, 1, [this](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i)
+                    workerLoop();
+            });
+        return std::move(head_).finalize();
+    }
+
+  private:
+    void
+    workerLoop()
+    {
+        std::vector<MicroOp> buf;
+        try {
+            for (;;) {
+                uint64_t seq, base;
+                TraceSegment span;
+                {
+                    std::lock_guard<std::mutex> src(srcMu_);
+                    if (exhausted_ || !waitForRoom())
+                        return;
+                    base = nextBase_;
+                    span = fetch_(base, span_, buf);
+                    if (span.empty()) {
+                        exhausted_ = true;
+                        return;
+                    }
+                    nextBase_ += span.size;
+                    std::lock_guard<std::mutex> lk(mu_);
+                    seq = claimed_++;
+                }
+                auto seg = std::make_unique<SegmentProfiler>(
+                    cfg_, SegmentProfiler::Role::Carry, base);
+                {
+                    MIPP_SPAN("profiler.segment");
+                    seg->feed(span.data, span.size);
+                    seg->seal();
+                }
+                publish(seq, std::move(seg));
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(mu_);
+            failed_ = true;
+            room_.notify_all();
+            throw;
+        }
+    }
+
+    /** Block while the in-flight bound is reached; false once another
+     *  loop has failed. */
+    bool
+    waitForRoom()
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        room_.wait(lk, [this] {
+            return failed_ || claimed_ - absorbed_ < maxInFlight_;
+        });
+        return !failed_;
+    }
+
+    /** Hand segment @p seq to the absorber, becoming it if none runs. */
+    void
+    publish(uint64_t seq, std::unique_ptr<SegmentProfiler> seg)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        size_t slot = static_cast<size_t>(seq - absorbed_);
+        if (ready_.size() <= slot)
+            ready_.resize(slot + 1);
+        ready_[slot] = std::move(seg);
+        if (absorbing_)
+            return; // the running absorber re-checks before it stops
+        absorbing_ = true;
+        while (!failed_ && !ready_.empty() && ready_.front()) {
+            std::unique_ptr<SegmentProfiler> next =
+                std::move(ready_.front());
+            ready_.pop_front();
+            absorbed_++; // keeps ready_[k] == segment absorbed_ + k
+            lk.unlock();
+            room_.notify_all();
+            try {
+                MIPP_SPAN("profiler.absorb");
+                head_.absorb(std::move(*next));
+                next.reset();
+            } catch (...) {
+                lk.lock();
+                absorbing_ = false;
+                throw;
+            }
+            lk.lock();
+        }
+        absorbing_ = false;
+    }
+
+    const ProfilerConfig &cfg_;
+    const unsigned threads_;
+    const size_t span_;
+    const size_t maxInFlight_;
+    const FetchFn fetch_;
+
+    std::mutex srcMu_; ///< claim order == fetch order == stream order
+    uint64_t nextBase_ = 0;
+    bool exhausted_ = false;
+
+    std::mutex mu_; ///< guards everything below
+    std::condition_variable room_;
+    uint64_t claimed_ = 0;
+    uint64_t absorbed_ = 0; ///< taken off ready_ by the absorber
+    /** ready_[k] holds segment absorbed_ + k once it is profiled. */
+    std::deque<std::unique_ptr<SegmentProfiler>> ready_;
+    bool absorbing_ = false; ///< some loop owns head_
+    bool failed_ = false;
+    SegmentProfiler head_;
+};
+
+/**
+ * Shared parallel entry: the sequential pass for unsampled configs
+ * (the whole stream is one micro-trace), one thread, or a stream known
+ * to fit one segment; the ordered pipeline otherwise.
+ */
+Profile
+profileParallel(uint64_t totalHint, const ProfilerConfig &cfg,
+                const ParallelProfileOptions &opts,
+                const std::function<Profile()> &sequential,
+                FetchFn fetch)
+{
+    const unsigned threads = effectiveThreads(opts.threads);
+    if (!cfg.sampling.sampled() || threads <= 1)
+        return sequential();
+    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
+    const size_t span =
+        segmentSpan(totalHint, threads, winSize, opts.segmentUops);
+    if (totalHint != TraceSource::kUnknownSize && totalHint <= span)
+        return sequential();
+
+    MIPP_SPAN("profiler.pass");
+    return SegmentPipeline(cfg, threads, span, std::move(fetch)).run();
 }
 
 } // namespace
@@ -55,40 +249,13 @@ Profile
 profileTraceParallel(const Trace &trace, const ProfilerConfig &cfg,
                      const ParallelProfileOptions &opts)
 {
-    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
-    const unsigned threads = effectiveThreads(opts.threads);
-    // Unsampled profiling forms one whole-stream micro-trace — nothing
-    // to segment; tiny traces are not worth the dispatch.
-    if (!cfg.sampling.sampled() || threads <= 1)
-        return profileTrace(trace, cfg);
-    const size_t span =
-        segmentSpan(trace.size(), threads, winSize, opts.segmentUops);
-    const size_t nSegs = (trace.size() + span - 1) / span;
-    if (nSegs <= 1)
-        return profileTrace(trace, cfg);
-
-    MIPP_SPAN("profiler.pass");
-    // Every segment profiles in Carry role against unknown prefix state;
-    // an empty Head then resolves each segment's boundary records in
-    // stream order. The head path never profiles a uop itself, so the
-    // result is identical for any window-aligned segmentation — the
-    // parity tests pin this against profileTrace bit-for-bit.
-    std::vector<std::unique_ptr<SegmentProfiler>> segs(nSegs);
-    parallelForShared(nSegs, threads, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-            uint64_t base = static_cast<uint64_t>(i) * span;
-            auto seg = std::make_unique<SegmentProfiler>(
-                cfg, SegmentProfiler::Role::Carry, base);
-            seg->feed(trace.data() + base,
-                      std::min<size_t>(span, trace.size() - base));
-            seg->seal();
-            segs[i] = std::move(seg);
-        }
-    });
-    SegmentProfiler head(cfg);
-    for (auto &seg : segs)
-        head.absorb(std::move(*seg));
-    return std::move(head).finalize();
+    return profileParallel(
+        trace.size(), cfg, opts, [&] { return profileTrace(trace, cfg); },
+        [&](uint64_t base, size_t span, std::vector<MicroOp> &) {
+            // Zero-copy: segments point straight into the trace.
+            size_t n = std::min<uint64_t>(span, trace.size() - base);
+            return TraceSegment{trace.data() + base, n, base};
+        });
 }
 
 Profile
@@ -130,61 +297,23 @@ Profile
 profileSourceParallel(TraceSource &source, const ProfilerConfig &cfg,
                       const ParallelProfileOptions &opts)
 {
-    const unsigned threads = effectiveThreads(opts.threads);
-    if (!cfg.sampling.sampled() || threads <= 1)
-        return profileSource(source, cfg);
-    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
-    const size_t span =
-        segmentSpan(source.sizeHint(), threads, winSize, opts.segmentUops);
-
-    MIPP_SPAN("profiler.pass");
-    // Batch pipeline: copy up to `threads` segments out of the source
-    // (its spans die on the next next() call), profile the batch in
-    // parallel as Carry segments, absorb in stream order, repeat.
-    SegmentProfiler head(cfg);
-    std::vector<std::vector<MicroOp>> bufs(threads);
-    std::vector<std::unique_ptr<SegmentProfiler>> segs(threads);
-    bool done = false;
-    while (!done) {
-        size_t nb = 0;
-        while (nb < threads && !done) {
-            std::vector<MicroOp> &buf = bufs[nb];
+    return profileParallel(
+        source.sizeHint(), cfg, opts,
+        [&] { return profileSource(source, cfg); },
+        [&](uint64_t base, size_t span, std::vector<MicroOp> &buf) {
+            // The source's spans die on its next next() call: copy.
+            // A source may yield short spans mid-stream, so accumulate
+            // the full window-aligned span to keep feed()'s alignment
+            // contract no matter how the source chunks.
             buf.clear();
-            // A source may yield short spans mid-stream; accumulate to
-            // the full window-aligned span so feed()'s alignment
-            // contract holds no matter how the source chunks.
             while (buf.size() < span) {
                 TraceSegment s = source.next(span - buf.size());
-                if (s.empty()) {
-                    done = true;
+                if (s.empty())
                     break;
-                }
                 buf.insert(buf.end(), s.data, s.data + s.size);
             }
-            if (!buf.empty())
-                nb++;
-        }
-        if (nb == 0)
-            break;
-        std::vector<uint64_t> bases(nb);
-        uint64_t base = head.position();
-        for (size_t i = 0; i < nb; ++i) {
-            bases[i] = base;
-            base += bufs[i].size();
-        }
-        parallelForShared(nb, threads, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                auto seg = std::make_unique<SegmentProfiler>(
-                    cfg, SegmentProfiler::Role::Carry, bases[i]);
-                seg->feed(bufs[i].data(), bufs[i].size());
-                seg->seal();
-                segs[i] = std::move(seg);
-            }
+            return TraceSegment{buf.data(), buf.size(), base};
         });
-        for (size_t i = 0; i < nb; ++i)
-            head.absorb(std::move(*segs[i]));
-    }
-    return std::move(head).finalize();
 }
 
 std::vector<Profile>

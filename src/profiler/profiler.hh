@@ -35,7 +35,9 @@ struct ProfilerConfig {
     uint32_t windowHistoryBits = 4;
     /** Run the independent per-ROB-size window walks on the shared
      *  thread pool when the micro-trace is large enough. Results are
-     *  identical either way (each ROB size writes disjoint state). */
+     *  identical either way (each ROB size writes disjoint state). At
+     *  the default geometry it never fires: 16 ROB sizes x 1000-uop
+     *  micro-traces = 16,000 walk steps, below the 16,384 threshold. */
     bool parallelWindows = true;
 };
 
@@ -48,8 +50,9 @@ struct ParallelProfileOptions {
     unsigned threads = 0;
     /**
      * Segment length in uops (rounded up to whole sampling windows);
-     * 0 derives it — an even split across threads when the stream
-     * length is known, 64 windows per segment otherwise.
+     * 0 derives it — about 4 segments per thread, at most 4 windows
+     * (80k uops at the default sampling) each; 4 windows when the
+     * stream length is unknown.
      */
     size_t segmentUops = 0;
 };
@@ -61,8 +64,15 @@ struct ParallelProfileOptions {
  * count and segment size: all cross-segment state (reuse last-touch
  * maps, branch global history, per-op stride runs, order-sensitive
  * float accumulations) is carried explicitly across the boundaries.
- * Unsampled configs and single-thread requests fall back to the
- * sequential pass.
+ *
+ * Both parallel entry points run one ordered pipeline: `threads`
+ * worker loops each claim the next segment, profile it, and whichever
+ * loop is free folds every finished segment into the result in stream
+ * order, so merging overlaps with profiling. Segments here point into
+ * @p trace (no copy). Unsampled configs, single-thread requests and
+ * traces that fit one segment fall back to the sequential pass. Safe
+ * to call from inside a pool worker (the loops then run inline) and
+ * from several threads at once.
  */
 Profile profileTraceParallel(const Trace &trace,
                              const ProfilerConfig &cfg = {},
@@ -79,10 +89,13 @@ class TraceSource;
 Profile profileSource(TraceSource &source, const ProfilerConfig &cfg = {});
 
 /**
- * Segment-parallel profileSource: batches of segments are copied out of
- * the source, profiled concurrently and merged in stream order. Peak
- * memory is O(threads * segment) uops. Bit-identical to profileTrace
- * on the materialized stream.
+ * Segment-parallel profileSource on the same ordered pipeline as
+ * profileTraceParallel: each worker loop copies its segment out of the
+ * source (under a lock, in stream order) into its own reused buffer,
+ * so decoding overlaps with the other loops' profiling and merging.
+ * Peak memory is O(threads * segment) uops of buffers plus at most
+ * 2 * threads profiled-but-unmerged segment states. Bit-identical to
+ * profileTrace on the materialized stream.
  */
 Profile profileSourceParallel(TraceSource &source,
                               const ProfilerConfig &cfg = {},

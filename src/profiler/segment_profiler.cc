@@ -634,6 +634,9 @@ SegmentProfiler::feed(const MicroOp *ops, size_t n)
 {
     if (n == 0)
         return;
+    if (sealed_)
+        throw std::logic_error(
+            "SegmentProfiler::feed: the segment is sealed");
     const size_t winSize = std::max<size_t>(1, cfg_.sampling.windowSize);
     if (fedAny_) {
         if (!cfg_.sampling.sampled())
@@ -709,6 +712,20 @@ SegmentProfiler::seal()
     }
     for (auto &e : pendingILines_)
         e.lastLocalIdx = *lastILine_.find(e.iline);
+
+    // absorb() reads only the boundary records, the per-op and branch
+    // state and the profile; the local lookup tables are dead now.
+    // Free them on the worker that built them, so a segment waiting to
+    // be absorbed holds only what the merge needs.
+    lastAccess_ = {};
+    lastILine_ = {};
+    memOpDirect_ = {};
+    memPcBase_ = ~0ULL;
+    memOpIndex_ = {};
+    mtBranchStats_ = {};
+    mtMemCount_ = {};
+    mtFirstPos_ = {};
+    mtTouched_ = {};
 }
 
 void
@@ -1040,25 +1057,31 @@ SegmentProfiler::finalize() &&
 
     // Cold-miss burstiness per ROB size (thesis §4.4): step ROB-sized
     // windows over the uop stream and count cold loads per window.
+    // coldLoadUopIdx_ is ascending: the head's own feeds append in
+    // stream order, and absorb() appends each segment's pending lines
+    // (first-local-touch order) only after everything before the
+    // segment's base. So a load leaves the current window exactly when
+    // its index reaches the window's end, and only then is a divide
+    // needed — O(windows with cold loads) divides instead of one per
+    // cold load.
     for (size_t i = 0; i < cfg_.robSizes.size(); ++i) {
         uint64_t b = cfg_.robSizes[i];
-        uint64_t curWindow = ~0ULL;
+        uint64_t windowEnd = 0; // exclusive end of the current window
         uint64_t inWindow = 0;
         auto &cold = profile_.cold;
         cold.totalWindows[i] = pos_ / b;
         for (uint64_t idx : coldLoadUopIdx_) {
-            uint64_t w = idx / b;
-            if (w != curWindow) {
-                if (curWindow != ~0ULL) {
+            if (idx >= windowEnd) {
+                if (inWindow) {
                     cold.windowsWithCold[i]++;
                     cold.coldInWindows[i] += inWindow;
                 }
-                curWindow = w;
+                windowEnd = (idx / b + 1) * b;
                 inWindow = 0;
             }
             inWindow++;
         }
-        if (curWindow != ~0ULL) {
+        if (inWindow) {
             cold.windowsWithCold[i]++;
             cold.coldInWindows[i] += inWindow;
         }

@@ -81,8 +81,9 @@ class SegmentProfiler
      * of the merge preparation (joining each pending first-touch record
      * with the segment's final last-touch index), which parallel
      * drivers call from the worker so the serial absorb does one map
-     * probe per distinct line. Idempotent; absorb() seals lazily if the
-     * driver did not.
+     * probe per distinct line, and frees the segment-local lookup
+     * tables the merge no longer needs; feeding a sealed segment
+     * throws. Idempotent; absorb() seals lazily if the driver did not.
      */
     void seal();
 

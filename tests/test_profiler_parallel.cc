@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "profile_compare.hh"
+#include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "profiler/segment_profiler.hh"
 #include "trace/trace_source.hh"
+#include "util/thread_pool.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
@@ -238,6 +242,142 @@ TEST(ProfilerParallel, MultiFeedMatchesSingleFeed)
     head.feed(t.data() + 60000, 40000);
     Profile streamed = std::move(head).finalize();
     expectProfilesIdentical(streamed, seq);
+}
+
+// --------------------------------------------------------------------------
+// Ordered segment pipeline: out-of-order completion, failures, nesting
+// --------------------------------------------------------------------------
+
+std::string
+profileBytes(const Profile &p)
+{
+    std::ostringstream os;
+    writeProfile(p, os);
+    return os.str();
+}
+
+TEST(ProfilerParallel, ManySegmentsPerThreadBitIdentical)
+{
+    // 1 and 3 windows per segment give each thread many segments, so
+    // segments finish out of stream order and the in-flight bound is
+    // reached; the ragged source also makes every fetch accumulate.
+    Trace t = generateWorkload(suiteWorkload("mix_mid"), 200001);
+    ProfilerConfig cfg;
+    cfg.name = "mix_mid";
+    const Profile seq = profileTrace(t, cfg);
+    const std::string ref = profileBytes(seq);
+    for (size_t segUops : {20000ul, 60000ul}) {
+        for (unsigned threads : {2u, 4u, 8u}) {
+            SCOPED_TRACE(testing::Message() << "segUops " << segUops
+                                            << " threads " << threads);
+            ParallelProfileOptions opts{threads, segUops};
+            Profile par = profileTraceParallel(t, cfg, opts);
+            expectProfilesIdentical(par, seq);
+            EXPECT_EQ(profileBytes(par), ref);
+
+            RaggedSource src(t);
+            Profile streamed = profileSourceParallel(src, cfg, opts);
+            expectProfilesIdentical(streamed, seq);
+            EXPECT_EQ(profileBytes(streamed), ref);
+        }
+    }
+}
+
+/** Materialized source whose first next() at or past uop @p failAt
+ *  throws, as a reader hitting an I/O error mid-stream would. */
+class ThrowingSource final : public TraceSource
+{
+  public:
+    ThrowingSource(const Trace &trace, uint64_t failAt)
+        : inner_(trace), failAt_(failAt)
+    {
+    }
+
+    uint64_t sizeHint() const override { return inner_.sizeHint(); }
+
+    TraceSegment
+    next(size_t maxUops) override
+    {
+        if (pos_ >= failAt_)
+            throw std::runtime_error("ThrowingSource: injected failure");
+        TraceSegment seg = inner_.next(maxUops);
+        pos_ += seg.size;
+        return seg;
+    }
+
+    void
+    reset() override
+    {
+        inner_.reset();
+        pos_ = 0;
+    }
+
+  private:
+    MaterializedTraceSource inner_;
+    uint64_t failAt_;
+    uint64_t pos_ = 0;
+};
+
+TEST(ProfilerParallel, SourceFailureReachesCallerWithoutHang)
+{
+    Trace t = generateWorkload(suiteWorkload("balanced_mix"), 200000);
+    ProfilerConfig cfg;
+    const std::string ref = profileBytes(profileTrace(t, cfg));
+    // The first fetch, a mid-stream one, and the end-of-stream probe
+    // (one-window segments: 10 spans, then the empty next()).
+    for (uint64_t failAt : {0ul, 60000ul, 200000ul}) {
+        for (unsigned threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << "failAt " << failAt
+                                            << " threads " << threads);
+            ThrowingSource src(t, failAt);
+            EXPECT_THROW(profileSourceParallel(
+                             src, cfg, {threads, 20000}),
+                         std::runtime_error);
+            // The shared pool is not left wedged or poisoned.
+            Profile after = profileTraceParallel(t, cfg, {threads, 20000});
+            EXPECT_EQ(profileBytes(after), ref);
+        }
+    }
+}
+
+TEST(ProfilerParallel, SealedSegmentRejectsFeed)
+{
+    // seal() frees the segment-local lookup tables, so a later feed
+    // could not profile correctly; it must fail loudly instead.
+    Trace t = generateWorkload(suiteWorkload("balanced_mix"), 40000);
+    ProfilerConfig cfg;
+    SegmentProfiler seg(cfg, SegmentProfiler::Role::Carry, 0);
+    seg.feed(t.data(), 20000);
+    seg.seal();
+    EXPECT_THROW(seg.feed(t.data() + 20000, 20000), std::logic_error);
+}
+
+TEST(ProfilerParallel, NestedInsidePoolChunkBitIdentical)
+{
+    // Called from inside a pool chunk, parallelFor runs the pipeline's
+    // worker loops inline one after another on that thread.
+    Trace t = generateWorkload(suiteWorkload("branchy"), 150000);
+    ProfilerConfig cfg;
+    cfg.name = "branchy";
+    const std::string ref = profileBytes(profileTrace(t, cfg));
+    constexpr size_t kChunks = 4;
+    std::vector<std::string> fromTrace(kChunks), fromSource(kChunks);
+    ThreadPool::shared().parallelFor(
+        kChunks, 1, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+                ParallelProfileOptions opts{4, 20000};
+                fromTrace[i] =
+                    profileBytes(profileTraceParallel(t, cfg, opts));
+                MaterializedTraceSource src(t);
+                fromSource[i] =
+                    profileBytes(profileSourceParallel(src, cfg, opts));
+            }
+        });
+    for (size_t i = 0; i < kChunks; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(fromTrace[i], ref);
+        EXPECT_EQ(fromSource[i], ref);
+    }
 }
 
 } // namespace

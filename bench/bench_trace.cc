@@ -2,7 +2,8 @@
  * `.mtf` ingestion-throughput benchmarks (items/s = uops/s).
  *
  * BM_MtfEncode measures MtfWriter encoding into a memory buffer,
- * BM_MtfDecode raw MtfReader::decode() over an opened trace, and
+ * BM_MtfDecode raw MtfReader::decode() over an opened trace,
+ * BM_MtfOpen MtfReader::parse() (copy + validation walk), and
  * BM_MtfProfileStream the full ingest path the CLI exercises —
  * MtfTraceSource streamed through profileSource / the parallel
  * profiler. run_benchmarks.sh records the decode rate as the trace
@@ -85,6 +86,23 @@ BM_MtfDecode(benchmark::State &state)
                             sharedMtfBytes().size());
 }
 BENCHMARK(BM_MtfDecode)->Unit(benchmark::kMillisecond);
+
+/** Open: MtfReader::parse of the shared bytes, i.e. the copy plus the
+ *  validation walk (checksum and record checks) every open runs. */
+void
+BM_MtfOpen(benchmark::State &state)
+{
+    const std::string &bytes = sharedMtfBytes(); // encoded outside timing
+    for (auto _ : state) {
+        MtfReader reader;
+        Status st = MtfReader::parse(bytes, reader);
+        benchmark::DoNotOptimize(st.isOk());
+    }
+    state.SetItemsProcessed(state.iterations() * sharedTrace().size());
+    state.SetBytesProcessed(state.iterations() *
+                            sharedMtfBytes().size());
+}
+BENCHMARK(BM_MtfOpen)->Unit(benchmark::kMillisecond);
 
 /** Full ingest path: decode + profile, threads = range(0). */
 void

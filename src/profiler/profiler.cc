@@ -1,6 +1,7 @@
 #include "profiler/profiler.hh"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -23,14 +24,15 @@ size_t
 segmentSpan(uint64_t totalHint, unsigned threads, size_t winSize,
             size_t requested)
 {
-    // Derived spans: about 4 segments per thread, at most 4 windows
+    // Derived spans: about 8 segments per thread, at most 4 windows
     // each (the unknown-length default too). Measured on 1M-uop .mtf
-    // files of cold_sweep, branchy and mix_mid at 2 and 4 threads,
-    // 40k-80k-uop segments are fastest and within noise of each other;
-    // 140k is ~7% slower and 260k (one segment per thread) ~20%.
-    // Smaller segments let the serial absorb and the fetch hide behind
-    // the other loops' profiling and shrink the in-flight footprint.
-    constexpr uint64_t kSegmentsPerThread = 4;
+    // files of cold_sweep, branchy and mix_mid at 4 threads: 40k-uop
+    // segments are ~5% faster than 60k and 80k, and 20k no faster; the
+    // last segments and their line resolution are the run's tail, so
+    // more of them balance the loops better. Long streams keep 4
+    // windows: each segment re-touches its working set as pending
+    // first touches, which more segments would multiply.
+    constexpr uint64_t kSegmentsPerThread = 8;
     constexpr uint64_t kMaxWindows = 4;
     uint64_t span = kMaxWindows * static_cast<uint64_t>(winSize);
     if (requested) {
@@ -50,6 +52,29 @@ effectiveThreads(unsigned requested)
 }
 
 /**
+ * The stream's next @p span uops as one span, fewer only at its end:
+ * the source's own span when it yields them all at once, else the
+ * pieces gathered into @p buf. A source may yield short spans
+ * mid-stream; this keeps every feed but the last window-aligned however
+ * it chunks.
+ */
+TraceSegment
+nextSpan(TraceSource &source, size_t span, std::vector<MicroOp> &buf)
+{
+    TraceSegment first = source.next(span);
+    if (first.size == span || first.empty())
+        return first;
+    buf.assign(first.data, first.data + first.size);
+    while (buf.size() < span) {
+        TraceSegment s = source.next(span - buf.size());
+        if (s.empty())
+            break;
+        buf.insert(buf.end(), s.data, s.data + s.size);
+    }
+    return {buf.data(), buf.size(), first.baseUop};
+}
+
+/**
  * Yields the stream's next @p span uops (fewer only at its tail; empty
  * at its end), starting at uop @p base: a pointer into a materialized
  * trace, or a copy into the calling loop's reused buffer @p buf. Called
@@ -65,22 +90,29 @@ using FetchFn = std::function<TraceSegment(uint64_t base, size_t span,
  *   1. claims and fetches the next window-aligned span under the
  *      source lock,
  *   2. profiles it as a sealed Carry segment, holding no lock, and
- *   3. publishes it; a loop that finds no absorber running becomes the
- *      absorber and folds every ready segment into the Head in stream
- *      order.
- * Decode and absorb thus overlap with the other loops' profiling. The
+ *   3. publishes it, then runs whatever ready work it finds: the
+ *      segments' data-line shard resolutions (SegmentProfiler::
+ *      resolveLines; shard s of segment k is ready once shard s has
+ *      taken segment k - 1, so the shards run in parallel), the fold of
+ *      a segment's resolved lines (by the loop that finished its last
+ *      shard), and, when no other loop is absorbing, the absorb of the
+ *      stream-order-next segment once its lines are folded.
+ * Decode, line resolution and absorb thus overlap with the other
+ * loops' profiling, and a loop that finds the stream exhausted keeps
+ * running ready work until the absorber has taken every segment. The
  * result is the Head's, so it is bit-identical to the sequential pass
  * for any segmentation and any completion order.
  *
  * At most 2 * threads segments are claimed but not yet taken up by
- * the absorber (plus the one it is folding in). Publishers absorb
- * eagerly, so a loop at that bound has nothing to absorb itself: it
- * waits for the stream-order-next segment, whose owner holds no lock
- * while it profiles and absorbs it (or hands it to the running
- * absorber) right after, so the wait always ends. That holds when
- * parallelFor runs the loops one after another on a single thread (a
- * call from inside a pool worker) too: a lone loop absorbs each
- * segment before it claims the next and never reaches the bound.
+ * the absorber (plus the one it is folding in). A loop at that bound
+ * runs ready work while it waits, and sleeps only when there is none:
+ * then every unfinished piece is held by a running loop (a segment
+ * being profiled, a shard task or fold, the absorb), which holds no
+ * lock and signals when it is done, so the wait always ends. That
+ * holds when parallelFor runs the loops one after another on a single
+ * thread (a call from inside a pool worker) too: a lone loop resolves
+ * and absorbs each segment itself before it claims the next and never
+ * reaches the bound.
  */
 class SegmentPipeline
 {
@@ -105,6 +137,8 @@ class SegmentPipeline
     }
 
   private:
+    static constexpr size_t kShards = SegmentProfiler::kLineShards;
+
     void
     workerLoop()
     {
@@ -116,12 +150,12 @@ class SegmentPipeline
                 {
                     std::lock_guard<std::mutex> src(srcMu_);
                     if (exhausted_ || !waitForRoom())
-                        return;
+                        break;
                     base = nextBase_;
                     span = fetch_(base, span_, buf);
                     if (span.empty()) {
                         exhausted_ = true;
-                        return;
+                        break;
                     }
                     nextBase_ += span.size;
                     std::lock_guard<std::mutex> lk(mu_);
@@ -136,27 +170,43 @@ class SegmentPipeline
                 }
                 publish(seq, std::move(seg));
             }
+            helpToEnd();
         } catch (...) {
             std::lock_guard<std::mutex> lk(mu_);
             failed_ = true;
-            room_.notify_all();
+            changed_.notify_all();
             throw;
         }
     }
 
-    /** Block while the in-flight bound is reached; false once another
-     *  loop has failed. */
+    /** Run ready work while the in-flight bound is reached, sleeping
+     *  when there is none; false once another loop has failed. */
     bool
     waitForRoom()
     {
         std::unique_lock<std::mutex> lk(mu_);
-        room_.wait(lk, [this] {
-            return failed_ || claimed_ - absorbed_ < maxInFlight_;
-        });
-        return !failed_;
+        for (;;) {
+            if (failed_)
+                return false;
+            if (claimed_ - absorbed_ < maxInFlight_)
+                return true;
+            if (!runReadyWork(lk))
+                changed_.wait(lk);
+        }
     }
 
-    /** Hand segment @p seq to the absorber, becoming it if none runs. */
+    /** Once the stream is exhausted (no more claims), keep running
+     *  ready work until the absorber has taken up every segment. */
+    void
+    helpToEnd()
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        while (!failed_ && absorbed_ < claimed_)
+            if (!runReadyWork(lk))
+                changed_.wait(lk);
+    }
+
+    /** Hand segment @p seq to the pipeline, then run ready work. */
     void
     publish(uint64_t seq, std::unique_ptr<SegmentProfiler> seg)
     {
@@ -164,29 +214,85 @@ class SegmentPipeline
         size_t slot = static_cast<size_t>(seq - absorbed_);
         if (ready_.size() <= slot)
             ready_.resize(slot + 1);
-        ready_[slot] = std::move(seg);
-        if (absorbing_)
-            return; // the running absorber re-checks before it stops
-        absorbing_ = true;
-        while (!failed_ && !ready_.empty() && ready_.front()) {
+        ready_[slot].seg = std::move(seg);
+        changed_.notify_all();
+        while (runReadyWork(lk)) {
+        }
+    }
+
+    /**
+     * Run one ready piece of work with @p lk released: the absorb of
+     * the stream-order-next segment if its lines are folded and no loop
+     * is absorbing, else the shard task of the earliest ready segment
+     * (and the segment's fold, if that was its last shard). @return
+     * false if nothing was ready.
+     */
+    bool
+    runReadyWork(std::unique_lock<std::mutex> &lk)
+    {
+        if (failed_)
+            return false;
+        if (!absorbing_ && !ready_.empty() && ready_.front().folded) {
             std::unique_ptr<SegmentProfiler> next =
-                std::move(ready_.front());
+                std::move(ready_.front().seg);
             ready_.pop_front();
             absorbed_++; // keeps ready_[k] == segment absorbed_ + k
-            lk.unlock();
-            room_.notify_all();
-            try {
+            absorbing_ = true;
+            changed_.notify_all();
+            unlocked(lk, [&] {
                 MIPP_SPAN("profiler.absorb");
                 head_.absorb(std::move(*next));
                 next.reset();
-            } catch (...) {
-                lk.lock();
-                absorbing_ = false;
-                throw;
-            }
-            lk.lock();
+            });
+            absorbing_ = false;
+            changed_.notify_all();
+            return true;
         }
-        absorbing_ = false;
+        size_t shard = kShards;
+        for (size_t s = 0; s < kShards; ++s) {
+            const size_t slot =
+                static_cast<size_t>(shardNext_[s] - absorbed_);
+            if (!shardBusy_[s] && slot < ready_.size() && ready_[slot].seg &&
+                (shard == kShards || shardNext_[s] < shardNext_[shard]))
+                shard = s;
+        }
+        if (shard == kShards)
+            return false;
+        const uint64_t seq = shardNext_[shard];
+        SegmentProfiler &seg = *ready_[seq - absorbed_].seg;
+        shardBusy_[shard] = true;
+        unlocked(lk, [&] {
+            MIPP_SPAN("profiler.resolve");
+            head_.resolveLines(seg, shard);
+        });
+        shardBusy_[shard] = false;
+        shardNext_[shard]++;
+        // An unfolded segment is not absorbed, so seq - absorbed_ still
+        // indexes its slot.
+        if (--ready_[seq - absorbed_].shardsLeft == 0) {
+            unlocked(lk, [&] {
+                MIPP_SPAN("profiler.fold");
+                seg.foldLines();
+            });
+            ready_[seq - absorbed_].folded = true;
+        }
+        changed_.notify_all();
+        return true;
+    }
+
+    /** Run @p work with @p lk released and re-take it after, also when
+     *  @p work throws (a failure ends every loop, so the state it was
+     *  working on needs no reset). */
+    template <typename Work>
+    static void
+    unlocked(std::unique_lock<std::mutex> &lk, Work &&work)
+    {
+        lk.unlock();
+        struct Relock {
+            std::unique_lock<std::mutex> &lk;
+            ~Relock() { lk.lock(); }
+        } relock{lk};
+        work();
     }
 
     const ProfilerConfig &cfg_;
@@ -200,12 +306,21 @@ class SegmentPipeline
     bool exhausted_ = false;
 
     std::mutex mu_; ///< guards everything below
-    std::condition_variable room_;
+    std::condition_variable changed_;
     uint64_t claimed_ = 0;
     uint64_t absorbed_ = 0; ///< taken off ready_ by the absorber
-    /** ready_[k] holds segment absorbed_ + k once it is profiled. */
-    std::deque<std::unique_ptr<SegmentProfiler>> ready_;
-    bool absorbing_ = false; ///< some loop owns head_
+    struct Slot {
+        std::unique_ptr<SegmentProfiler> seg; ///< set once profiled
+        size_t shardsLeft = kShards; ///< shard tasks still to run
+        bool folded = false;
+    };
+    /** ready_[k] holds segment absorbed_ + k. */
+    std::deque<Slot> ready_;
+    /** Per shard: the segment it resolves next, and whether a loop is
+     *  resolving it now. */
+    std::array<uint64_t, kShards> shardNext_{};
+    std::array<bool, kShards> shardBusy_{};
+    bool absorbing_ = false; ///< some loop owns head_'s non-shard state
     bool failed_ = false;
     SegmentProfiler head_;
 };
@@ -284,8 +399,9 @@ profileSource(TraceSource &source, const ProfilerConfig &cfg)
     // 16 windows per chunk keeps feed() overhead negligible next to the
     // per-uop profiling work.
     const size_t chunk = 16 * winSize;
+    std::vector<MicroOp> buf;
     for (;;) {
-        TraceSegment seg = source.next(chunk);
+        TraceSegment seg = nextSpan(source, chunk, buf);
         if (seg.empty())
             break;
         head.feed(seg.data, seg.size);
@@ -301,17 +417,11 @@ profileSourceParallel(TraceSource &source, const ProfilerConfig &cfg,
         source.sizeHint(), cfg, opts,
         [&] { return profileSource(source, cfg); },
         [&](uint64_t base, size_t span, std::vector<MicroOp> &buf) {
-            // The source's spans die on its next next() call: copy.
-            // A source may yield short spans mid-stream, so accumulate
-            // the full window-aligned span to keep feed()'s alignment
-            // contract no matter how the source chunks.
-            buf.clear();
-            while (buf.size() < span) {
-                TraceSegment s = source.next(span - buf.size());
-                if (s.empty())
-                    break;
-                buf.insert(buf.end(), s.data, s.data + s.size);
-            }
+            // The source's spans die on its next next() call: own a
+            // copy.
+            TraceSegment s = nextSpan(source, span, buf);
+            if (s.data != buf.data())
+                buf.assign(s.data, s.data + s.size);
             return TraceSegment{buf.data(), buf.size(), base};
         });
 }

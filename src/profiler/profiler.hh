@@ -50,7 +50,7 @@ struct ParallelProfileOptions {
     unsigned threads = 0;
     /**
      * Segment length in uops (rounded up to whole sampling windows);
-     * 0 derives it — about 4 segments per thread, at most 4 windows
+     * 0 derives it — about 8 segments per thread, at most 4 windows
      * (80k uops at the default sampling) each; 4 windows when the
      * stream length is unknown.
      */
@@ -84,7 +84,8 @@ class TraceSource;
  * Profile a uop stream without materializing it: O(chunk) resident
  * uops. Identical to materializing the stream and calling profileTrace
  * (unsampled configs buffer the whole stream, which forms one
- * micro-trace).
+ * micro-trace). Spans the source yields short mid-stream are gathered
+ * into full chunks, as profileSourceParallel does.
  */
 Profile profileSource(TraceSource &source, const ProfilerConfig &cfg = {});
 

@@ -163,6 +163,7 @@ SegmentProfiler::SegmentProfiler(const ProfilerConfig &cfg, Role role,
     // static branch; beyond ~12 bits that scales badly, so long
     // histories keep the sparse hashed-(pc, history) representation.
     denseBranchTables_ = cfg.historyBits <= 12;
+    coldWindows_.resize(cfg.robSizes.size());
     if (carry_) {
         const size_t winSize =
             std::max<size_t>(1, cfg.sampling.windowSize);
@@ -260,7 +261,8 @@ SegmentProfiler::observeMemory(const MicroOp &op, uint64_t uopIndex,
     bool is_store = op.type == UopType::Store;
 
     // Combined-stream reuse distance (thesis Fig 4.1).
-    auto [last, cold] = lastAccess_.tryEmplace(line, memIndex_);
+    const size_t shard = lineShard(line);
+    auto [last, cold] = lines_[shard].lastTouch.tryEmplace(line, memIndex_);
     uint64_t rd = 0;
     if (!cold) {
         rd = memIndex_ - last - 1;
@@ -286,10 +288,10 @@ SegmentProfiler::observeMemory(const MicroOp &op, uint64_t uopIndex,
             // First LOCAL touch: the true distance (or coldness) depends
             // on upstream state; defer the whole observation.
             pendingLines_.push_back(
-                {line, localMemIdx, 0, uopIndex, idx,
+                {line, localMemIdx, uopIndex, idx,
                  inMt ? static_cast<uint32_t>(profile_.windows.size())
                       : kNoWindow,
-                 is_store});
+                 is_store, static_cast<uint8_t>(shard)});
         } else {
             if (!is_store) {
                 profile_.cold.coldLoadMisses++;
@@ -352,11 +354,12 @@ SegmentProfiler::observeMemory(const MicroOp &op, uint64_t uopIndex,
 }
 
 uint32_t
-SegmentProfiler::newBranchTable()
+SegmentProfiler::newBranchTable(uint64_t pc)
 {
     const size_t tableSize = static_cast<size_t>(histMask_) + 1;
     branchTables_.resize(branchTables_.size() + tableSize);
-    return numBranchTables_++;
+    branchTablePc_.push_back(pc);
+    return static_cast<uint32_t>(branchTablePc_.size() - 1);
 }
 
 /** Dense-table base for @p pc, creating the table on first use. */
@@ -375,13 +378,13 @@ SegmentProfiler::branchTableFor(uint64_t pc)
         if (slot) {
             table = slot - 1;
         } else {
-            table = newBranchTable();
+            table = newBranchTable(pc);
             branchDirect_[off] = table + 1;
         }
     } else {
         auto [slot, fresh] = branchPc_.tryEmplace(pc, 0);
         if (fresh)
-            slot = newBranchTable();
+            slot = newBranchTable(pc);
         table = slot;
     }
     return branchTables_.data() + static_cast<size_t>(table) * tableSize;
@@ -601,8 +604,10 @@ SegmentProfiler::observeRange(const MicroOp *buf, uint64_t begin,
         const MicroOp &op = buf[i - base];
         if (i + kLookahead < n) {
             const MicroOp &ahead = buf[i + kLookahead - base];
-            if (isMemory(ahead.type))
-                lastAccess_.prefetch(ahead.lineAddr());
+            if (isMemory(ahead.type)) {
+                const uint64_t line = ahead.lineAddr();
+                lines_[lineShard(line)].lastTouch.prefetch(line);
+            }
         }
         // Instruction-stream reuse (observeIfetch, inlined on the iline
         // transition only).
@@ -638,6 +643,12 @@ SegmentProfiler::feed(const MicroOp *ops, size_t n)
         throw std::logic_error(
             "SegmentProfiler::feed: the segment is sealed");
     const size_t winSize = std::max<size_t>(1, cfg_.sampling.windowSize);
+    if (!carry_)
+        for (const LineShard &sh : lines_)
+            if (sh.pos != pos_)
+                throw std::logic_error(
+                    "SegmentProfiler::feed: a shard is resolved past the "
+                    "head's position");
     if (fedAny_) {
         if (!cfg_.sampling.sampled())
             throw std::logic_error(
@@ -651,7 +662,9 @@ SegmentProfiler::feed(const MicroOp *ops, size_t n)
         // Pre-size the hot maps so the innermost loop does not stall on
         // rehashes (the line-reuse map moves its whole payload on
         // growth).
-        lastAccess_.reserve(std::min<size_t>(n / 8 + 64, 1u << 22));
+        for (LineShard &sh : lines_)
+            sh.lastTouch.reserve(
+                std::min<size_t>(n / 8 + 64, 1u << 22) / kLineShards);
         lastILine_.reserve(1024);
         branchTables_.reserve(
             64 * (static_cast<size_t>(histMask_) + 1));
@@ -691,6 +704,11 @@ SegmentProfiler::feed(const MicroOp *ops, size_t n)
     }
     pos_ = end;
     buf_ = nullptr;
+    if (!carry_)
+        for (LineShard &sh : lines_) {
+            sh.pos = pos_;
+            sh.memIdx = memIndex_;
+        }
 }
 
 void
@@ -699,16 +717,30 @@ SegmentProfiler::seal()
     if (!carry_ || sealed_)
         return;
     sealed_ = true;
-    // Join each pending first-touch record with the segment's final
-    // last-touch index so absorb needs a single global-map probe per
-    // distinct line. The probes here hit segment-local maps and run on
-    // the worker that profiled the segment.
+    // Group the pending first touches by shard (a counting sort, stable
+    // so first-touch order holds within a shard) and join each with the
+    // segment's final last-touch index, so resolving a line takes one
+    // probe of one shard map. The probes here hit segment-local maps
+    // and run on the worker that profiled the segment.
+    shardBegin_.fill(0);
+    for (const PendingLine &e : pendingLines_)
+        shardBegin_[e.shard + 1]++;
+    for (size_t s = 0; s < kLineShards; ++s)
+        shardBegin_[s + 1] += shardBegin_[s];
+    shardLines_.resize(pendingLines_.size());
+    std::array<uint32_t, kLineShards> at;
+    std::copy_n(shardBegin_.begin(), kLineShards, at.begin());
+    for (const PendingLine &e : pendingLines_)
+        shardLines_[at[e.shard]++] = {e.line, e.localMemIdx, 0, kColdLine};
     constexpr size_t kAhead = 16;
-    for (size_t i = 0; i < pendingLines_.size(); ++i) {
-        if (i + kAhead < pendingLines_.size())
-            lastAccess_.prefetch(pendingLines_[i + kAhead].line);
-        pendingLines_[i].lastLocalIdx =
-            *lastAccess_.find(pendingLines_[i].line);
+    for (size_t s = 0; s < kLineShards; ++s) {
+        const FlatMap<uint64_t> &local = lines_[s].lastTouch;
+        const size_t end = shardBegin_[s + 1];
+        for (size_t i = shardBegin_[s]; i < end; ++i) {
+            if (i + kAhead < end)
+                local.prefetch(shardLines_[i + kAhead].line);
+            shardLines_[i].lastIdx = *local.find(shardLines_[i].line);
+        }
     }
     for (auto &e : pendingILines_)
         e.lastLocalIdx = *lastILine_.find(e.iline);
@@ -717,15 +749,144 @@ SegmentProfiler::seal()
     // state and the profile; the local lookup tables are dead now.
     // Free them on the worker that built them, so a segment waiting to
     // be absorbed holds only what the merge needs.
-    lastAccess_ = {};
+    for (LineShard &sh : lines_)
+        sh.lastTouch = {};
     lastILine_ = {};
     memOpDirect_ = {};
     memPcBase_ = ~0ULL;
+    branchDirect_ = {};
+    branchPcBase_ = ~0ULL;
+    branchPc_ = {};
     memOpIndex_ = {};
     mtBranchStats_ = {};
     mtMemCount_ = {};
     mtFirstPos_ = {};
     mtTouched_ = {};
+}
+
+void
+SegmentProfiler::resolveLines(SegmentProfiler &seg, size_t shard)
+{
+    if (carry_ || !seg.carry_ || !seg.sealed_)
+        throw std::logic_error(
+            "SegmentProfiler::resolveLines: a head resolves sealed carry "
+            "segments");
+    if (shard >= kLineShards)
+        throw std::out_of_range("SegmentProfiler::resolveLines: shard");
+    LineShard &sh = lines_[shard];
+    if (seg.base_ != sh.pos)
+        throw std::logic_error(
+            "SegmentProfiler::resolveLines: each shard takes the segments "
+            "in stream order");
+    // Resolve each first touch against the pre-segment last touch, then
+    // advance the map to the segment's final state: one probe per
+    // distinct line, with the profiling loop's lookahead prefetch. The
+    // shard map is a sixteenth of the whole, so it mostly stays cached.
+    FlatMap<uint64_t> &map = sh.lastTouch;
+    const uint64_t memBase = sh.memIdx;
+    ShardLine *lines = seg.shardLines_.data() + seg.shardBegin_[shard];
+    const size_t n = seg.shardBegin_[shard + 1] - seg.shardBegin_[shard];
+    map.reserve(map.size() + n);
+    constexpr size_t kAhead = 16;
+    for (size_t i = 0; i < n; ++i) {
+        if (i + kAhead < n)
+            map.prefetch(lines[i + kAhead].line);
+        ShardLine &e = lines[i];
+        auto [slot, fresh] = map.tryEmplace(e.line, memBase + e.lastIdx);
+        if (!fresh) {
+            uint64_t rd = memBase + e.firstIdx - slot - 1;
+            slot = memBase + e.lastIdx;
+            e.bin = static_cast<uint32_t>(LogHistogram::binIndex(rd));
+        } else {
+            e.bin = kColdLine;
+        }
+    }
+    sh.pos = seg.pos_;
+    sh.memIdx = memBase + seg.memIndex_;
+    seg.shardResolved_[shard] = true;
+}
+
+void
+SegmentProfiler::foldLines()
+{
+    if (!carry_)
+        throw std::logic_error(
+            "SegmentProfiler::foldLines: only carry segments fold lines");
+    if (linesFolded_)
+        return;
+    for (bool resolved : shardResolved_)
+        if (!resolved)
+            throw std::logic_error(
+                "SegmentProfiler::foldLines: a shard is unresolved");
+    linesFolded_ = true;
+    // First-touch order, reading each shard's results in sequence, so
+    // the cold loads come out ascending. A first touch whose type
+    // differs from the op's local nominal type parks in the minority
+    // histogram like any local access; absorb re-attributes it against
+    // the global nominal type.
+    std::array<uint32_t, kLineShards> next;
+    std::copy_n(shardBegin_.begin(), kLineShards, next.begin());
+    for (const PendingLine &e : pendingLines_) {
+        const uint32_t bin = shardLines_[next[e.shard]++].bin;
+        OpRunning &run = opRunning_[e.op];
+        const bool minority = e.isStore != run.isStore;
+        if (bin != kColdLine) {
+            run.reuse.addAtBin(bin);
+            if (minority) [[unlikely]]
+                opBoundary_[e.op].minorityReuse.addAtBin(bin);
+        } else {
+            run.reuse.addInfinite();
+            if (minority) [[unlikely]]
+                opBoundary_[e.op].minorityReuse.addInfinite();
+            if (!e.isStore) {
+                profile_.cold.coldLoadMisses++;
+                coldLoadUopIdx_.push_back(e.uopIndex);
+                if (e.window != kNoWindow)
+                    profile_.windows[e.window].coldMisses++;
+            }
+        }
+    }
+    pendingLines_ = {};
+    shardLines_ = {};
+    summarizeColdLoads();
+}
+
+void
+SegmentProfiler::summarizeColdLoads()
+{
+    if (coldLoadUopIdx_.empty())
+        return;
+    // coldLoadUopIdx_ is ascending (stream order; a segment's first
+    // touches fold in first-touch order) and follows every summarized
+    // load. So a load leaves the current window exactly when its index
+    // reaches the window's end, and only then is a divide needed —
+    // O(windows with cold loads) divides instead of one per cold load.
+    const uint64_t front = coldLoadUopIdx_.front();
+    const uint64_t back = coldLoadUopIdx_.back();
+    for (size_t i = 0; i < coldWindows_.size(); ++i) {
+        const uint64_t b = cfg_.robSizes[i];
+        ColdWindows &cw = coldWindows_[i];
+        // A first load before joinEnd lies in the last window already
+        // counted.
+        const uint64_t joinEnd = cw.windows ? (cw.last + 1) * b : 0;
+        uint64_t windowEnd = joinEnd, inWindow = 0, windows = 0;
+        for (uint64_t idx : coldLoadUopIdx_) {
+            if (idx >= windowEnd) {
+                if (inWindow)
+                    windows++;
+                windowEnd = (idx / b + 1) * b;
+                inWindow = 0;
+            }
+            inWindow++;
+        }
+        windows += inWindow ? 1 : 0;
+        windows -= front < joinEnd ? 1 : 0;
+        if (!cw.windows)
+            cw.first = front / b;
+        cw.windows += windows;
+        cw.last = back / b;
+    }
+    coldLoadUopIdx_.clear();
 }
 
 void
@@ -741,6 +902,10 @@ SegmentProfiler::absorb(SegmentProfiler &&seg)
     if (seg.pos_ == seg.base_)
         return;
     seg.seal();
+    for (size_t s = 0; s < kLineShards; ++s)
+        if (!seg.shardResolved_[s])
+            resolveLines(seg, s);
+    seg.foldLines();
 
     // --- static-op identity: global creation order is first-appearance
     //     order across the whole stream, which is exactly head order
@@ -750,38 +915,20 @@ SegmentProfiler::absorb(SegmentProfiler &&seg)
         remap[l] = memOpIndex(seg.profile_.memOps[l].pc,
                               seg.profile_.memOps[l].isStore);
 
-    // --- data-line reuse: resolve every pending first touch against the
-    //     pre-segment last-touch map, then advance the map to the
-    //     segment's final state — one probe per distinct line, with the
-    //     same lookahead prefetch as the profiling loop.
-    const uint64_t memBase = memIndex_;
-    lastAccess_.reserve(lastAccess_.size() + seg.pendingLines_.size());
-    constexpr size_t kAhead = 16;
-    for (size_t i = 0; i < seg.pendingLines_.size(); ++i) {
-        if (i + kAhead < seg.pendingLines_.size())
-            lastAccess_.prefetch(seg.pendingLines_[i + kAhead].line);
-        const PendingLine &e = seg.pendingLines_[i];
-        OpRunning &gr = opRunning_[remap[e.op]];
-        auto [slot, fresh] =
-            lastAccess_.tryEmplace(e.line, memBase + e.lastLocalIdx);
-        if (!fresh) {
-            uint64_t rd = memBase + e.localMemIdx - slot - 1;
-            slot = memBase + e.lastLocalIdx;
-            size_t bin = LogHistogram::binIndex(rd);
-            gr.reuse.addAtBin(bin);
-            if (e.isStore != gr.isStore) [[unlikely]]
-                addTypeAdjustBin(e.isStore, gr.isStore, bin);
-        } else {
-            gr.reuse.addInfinite();
-            if (e.isStore != gr.isStore) [[unlikely]]
-                addTypeAdjustInfinite(e.isStore, gr.isStore);
-            if (!e.isStore) {
-                profile_.cold.coldLoadMisses++;
-                coldLoadUopIdx_.push_back(e.uopIndex);
-                if (e.window != kNoWindow)
-                    seg.profile_.windows[e.window].coldMisses++;
-            }
-        }
+    // --- data-line reuse: the segment folded its resolved first
+    //     touches into its per-op state (merged below) and summarized
+    //     its cold loads; join the summaries after the head's own.
+    profile_.cold.coldLoadMisses += seg.profile_.cold.coldLoadMisses;
+    summarizeColdLoads();
+    for (size_t i = 0; i < coldWindows_.size(); ++i) {
+        const ColdWindows &sc = seg.coldWindows_[i];
+        ColdWindows &hc = coldWindows_[i];
+        if (!sc.windows)
+            continue;
+        if (!hc.windows)
+            hc.first = sc.first;
+        hc.windows += sc.windows - (hc.windows && hc.last == sc.first);
+        hc.last = sc.last;
     }
     memIndex_ += seg.memIndex_;
 
@@ -831,23 +978,14 @@ SegmentProfiler::absorb(SegmentProfiler &&seg)
     }
     if (denseBranchTables_) {
         const size_t tableSize = static_cast<size_t>(histMask_) + 1;
-        auto foldTable = [&](uint64_t pc, uint32_t table) {
-            const TakenCounts *src =
-                seg.branchTables_.data() +
-                static_cast<size_t>(table) * tableSize;
-            TakenCounts *dst = branchTableFor(pc);
+        for (size_t t = 0; t < seg.branchTablePc_.size(); ++t) {
+            const TakenCounts *src = seg.branchTables_.data() + t * tableSize;
+            TakenCounts *dst = branchTableFor(seg.branchTablePc_[t]);
             for (size_t h = 0; h < tableSize; ++h) {
                 dst[h].taken += src[h].taken;
                 dst[h].total += src[h].total;
             }
-        };
-        if (seg.branchPcBase_ != ~0ULL)
-            for (size_t off = 0; off < kPcWindow; ++off)
-                if (uint32_t slot = seg.branchDirect_[off])
-                    foldTable(seg.branchPcBase_ + off, slot - 1);
-        seg.branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
-            foldTable(pc, table);
-        });
+        }
     } else {
         seg.sparseBranchStats_.forEach(
             [&](uint64_t key, const TakenCounts &c) {
@@ -891,10 +1029,7 @@ SegmentProfiler::absorb(SegmentProfiler &&seg)
             gr.gapCount++;
             gr.selfDependent += ob.firstSelfDep ? 1 : 0;
         }
-        for (size_t k = 0; k < lr.nInline; ++k)
-            gr.addStrideN(lr.strideKey[k], lr.strideCount[k]);
-        for (uint64_t s : lr.overflowOrder)
-            gr.addStrideN(s, *lr.strideOverflow.find(s));
+        gr.absorbStrides(lr);
         gr.count += lr.count;
         gr.gapSum += lr.gapSum;
         gr.gapCount += lr.gapCount;
@@ -977,14 +1112,9 @@ SegmentProfiler::finalize() &&
     // floating-point sum is identical to a sorted-key reference.
     if (denseBranchTables_) {
         std::vector<std::pair<uint64_t, uint32_t>> pcs;
-        pcs.reserve(numBranchTables_);
-        if (branchPcBase_ != ~0ULL)
-            for (size_t off = 0; off < kPcWindow; ++off)
-                if (uint32_t slot = branchDirect_[off])
-                    pcs.emplace_back(branchPcBase_ + off, slot - 1);
-        branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
-            pcs.emplace_back(pc, table);
-        });
+        pcs.reserve(branchTablePc_.size());
+        for (size_t t = 0; t < branchTablePc_.size(); ++t)
+            pcs.emplace_back(branchTablePc_[t], static_cast<uint32_t>(t));
         std::sort(pcs.begin(), pcs.end());
         const size_t tableSize = static_cast<size_t>(histMask_) + 1;
         double sum = 0;
@@ -1055,36 +1185,15 @@ SegmentProfiler::finalize() &&
     profile_.reuseAll.merge(profile_.reuseLoads);
     profile_.reuseAll.merge(profile_.reuseStores);
 
-    // Cold-miss burstiness per ROB size (thesis §4.4): step ROB-sized
-    // windows over the uop stream and count cold loads per window.
-    // coldLoadUopIdx_ is ascending: the head's own feeds append in
-    // stream order, and absorb() appends each segment's pending lines
-    // (first-local-touch order) only after everything before the
-    // segment's base. So a load leaves the current window exactly when
-    // its index reaches the window's end, and only then is a divide
-    // needed — O(windows with cold loads) divides instead of one per
-    // cold load.
+    // Cold-miss burstiness per ROB size (thesis §4.4): ROB-sized
+    // windows stepped over the uop stream, and the cold loads in the
+    // windows that hold any (every cold load).
+    summarizeColdLoads();
     for (size_t i = 0; i < cfg_.robSizes.size(); ++i) {
-        uint64_t b = cfg_.robSizes[i];
-        uint64_t windowEnd = 0; // exclusive end of the current window
-        uint64_t inWindow = 0;
         auto &cold = profile_.cold;
-        cold.totalWindows[i] = pos_ / b;
-        for (uint64_t idx : coldLoadUopIdx_) {
-            if (idx >= windowEnd) {
-                if (inWindow) {
-                    cold.windowsWithCold[i]++;
-                    cold.coldInWindows[i] += inWindow;
-                }
-                windowEnd = (idx / b + 1) * b;
-                inWindow = 0;
-            }
-            inWindow++;
-        }
-        if (inWindow) {
-            cold.windowsWithCold[i]++;
-            cold.coldInWindows[i] += inWindow;
-        }
+        cold.totalWindows[i] = pos_ / cfg_.robSizes[i];
+        cold.windowsWithCold[i] = coldWindows_[i].windows;
+        cold.coldInWindows[i] = cold.coldLoadMisses;
     }
 
     return std::move(profile_);

@@ -33,11 +33,27 @@
  * Segments must start at a multiple of the sampling window size so
  * micro-traces never straddle a boundary (profileTraceParallel enforces
  * this; unsampled configs fall back to the sequential path).
+ *
+ * Data-line reuse, the costliest deferral, is resolved off the serial
+ * absorb. The last-touch map is split into kLineShards shard maps by
+ * the top bits of the line's hash, in every role. seal() groups a Carry
+ * segment's first local touches by shard, and a Head's resolveLines()
+ * resolves one (segment, shard) pair: it probes and advances only that
+ * shard's map and writes each line's reuse bin, or "cold", into the
+ * segment. A line's distance depends only on its own shard's history,
+ * so the shards are independent: each takes the segments in stream
+ * order, and calls for distinct shards may run concurrently, also with
+ * absorb() of an earlier segment. Once every shard is resolved, the
+ * segment's foldLines() folds the bins in first-touch order into its
+ * own per-op state and summarizes its cold-load burstiness, still off
+ * the absorb. absorb() resolves and folds inline whatever a driver
+ * left undone, then merges with no map probes.
  */
 
 #ifndef MIPP_PROFILER_SEGMENT_PROFILER_HH
 #define MIPP_PROFILER_SEGMENT_PROFILER_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -60,6 +76,10 @@ class SegmentProfiler
         uint32_t total = 0;
     };
 
+    /** Shards of the data-line last-touch map. */
+    static constexpr size_t kLineShardBits = 4;
+    static constexpr size_t kLineShards = size_t{1} << kLineShardBits;
+
     /**
      * @param baseUop absolute index of the segment's first uop; must be
      *        a multiple of the sampling window size (0 for Head).
@@ -78,19 +98,41 @@ class SegmentProfiler
 
     /**
      * Carry only: mark the segment finished. Runs the per-segment part
-     * of the merge preparation (joining each pending first-touch record
-     * with the segment's final last-touch index), which parallel
-     * drivers call from the worker so the serial absorb does one map
-     * probe per distinct line, and frees the segment-local lookup
+     * of the merge preparation on the calling thread: groups the
+     * pending first touches of data lines by shard, each joined with
+     * the segment's final last-touch index, so resolving a line takes
+     * one probe of its shard map. Then frees the segment-local lookup
      * tables the merge no longer needs; feeding a sealed segment
      * throws. Idempotent; absorb() seals lazily if the driver did not.
      */
     void seal();
 
     /**
+     * Head only: resolve the sealed Carry segment @p seg's first
+     * touches of data lines in shard @p shard against this profiler's
+     * last-touch map, and advance that shard past @p seg. Each shard
+     * takes the segments in stream order: @p seg must start where the
+     * shard's previous segment (or the head's own feed) ended. Calls
+     * for distinct shards are safe concurrently with each other and
+     * with absorb() of an earlier segment.
+     */
+    void resolveLines(SegmentProfiler &seg, size_t shard);
+
+    /**
+     * Carry only, once resolveLines() has taken every shard through
+     * this segment: fold the resolved first touches into the segment's
+     * own per-op reuse and cold-load state, on the calling thread, and
+     * free the pending-line records. Idempotent; absorb() folds if the
+     * driver did not.
+     */
+    void foldLines();
+
+    /**
      * Head only: fold a finished Carry segment into this profiler.
      * Segments must be absorbed in stream order — @p seg's baseUop must
-     * equal this profiler's current position().
+     * equal this profiler's current position(). Shards that
+     * resolveLines() has not taken @p seg through are resolved here,
+     * and the lines folded if foldLines() has not run.
      */
     void absorb(SegmentProfiler &&seg);
 
@@ -108,7 +150,7 @@ class SegmentProfiler
     void observeBranch(const MicroOp &op, bool inMt);
     void addGlobalBranch(uint64_t pc, bool taken, uint64_t hist);
     TakenCounts *branchTableFor(uint64_t pc);
-    uint32_t newBranchTable();
+    uint32_t newBranchTable(uint64_t pc);
     void finishMicroTrace();
     void walkRobSize(const MicroOp *mt, size_t mtLen, size_t i,
                      size_t median, WindowProfile &wp);
@@ -134,7 +176,22 @@ class SegmentProfiler
     bool fedAny_ = false;
 
     // --- continuous (whole-segment) state ---------------------------------
-    FlatMap<uint64_t> lastAccess_; // line -> mem idx
+    /** Shard of the data-line last-touch map. Aligned so resolveLines()
+     *  calls on distinct shards share no cache line. */
+    struct alignas(64) LineShard {
+        FlatMap<uint64_t> lastTouch; ///< line -> mem idx
+        /** Head: stream position this shard is resolved up to, and the
+         *  memory index there. */
+        uint64_t pos = 0;
+        uint64_t memIdx = 0;
+    };
+    static size_t
+    lineShard(uint64_t line)
+    {
+        return static_cast<size_t>(FlatMap<uint64_t>::hash(line) >>
+                                   (64 - kLineShardBits));
+    }
+    std::array<LineShard, kLineShards> lines_;
     uint64_t memIndex_ = 0;
     FlatMap<uint64_t> lastILine_;  // iline -> idx
     uint64_t iLineIndex_ = 0;
@@ -150,7 +207,7 @@ class SegmentProfiler
     uint64_t branchPcBase_ = ~0ULL;
     FlatMap<uint32_t> branchPc_; // fallback: pc -> table index
     std::vector<TakenCounts> branchTables_; // tables * (histMask_ + 1)
-    uint32_t numBranchTables_ = 0;
+    std::vector<uint64_t> branchTablePc_;    // table index -> pc
     /** Long histories (> 12 bits) skip the dense tables and hash the
      *  whole (pc, history) pair, like the per-micro-trace stats. */
     bool denseBranchTables_ = true;
@@ -204,6 +261,24 @@ class SegmentProfiler
 
         /** Reuse distances of this op's accesses (combined stream). */
         LogHistogram reuse;
+
+        bool
+        strideSetFull() const
+        {
+            return nInline == kInlineStrides &&
+                   kInlineStrides + strideOverflow.size() >= kMaxStrides;
+        }
+
+        /** Count of @p stride (0 if it was never admitted). */
+        uint64_t
+        strideCountOf(uint64_t stride) const
+        {
+            for (size_t k = 0; k < nInline; ++k)
+                if (strideKey[k] == stride)
+                    return strideCount[k];
+            const uint64_t *c = strideOverflow.find(stride);
+            return c ? *c : 0;
+        }
 
         void
         addStride(uint64_t stride)
@@ -286,9 +361,62 @@ class SegmentProfiler
                 *c += n;
             }
         }
+
+        /**
+         * Head, during absorb: the Carry op @p lr's local strides
+         * (distinct; arrival order is inline, then overflowOrder)
+         * arriving at this point of the stream. They replay through
+         * addStrideN only while the set has room. A full set is frozen:
+         * from then on a stride counts iff it is a member, so each
+         * member gains its local count, unless the replayed prefix
+         * already added it. O(kMaxStrides) lookups instead of one
+         * addStrideN per local stride.
+         */
+        void
+        absorbStrides(const OpRunning &lr)
+        {
+            // Every replayed stride is admitted (the set had room), and
+            // the strides are distinct: at most kMaxStrides of them.
+            std::array<uint64_t, kMaxStrides> replayed;
+            size_t nReplayed = 0;
+            const size_t total = lr.nInline + lr.overflowOrder.size();
+            size_t k = 0;
+            for (; k < total && !strideSetFull(); ++k) {
+                uint64_t s = k < lr.nInline ? lr.strideKey[k]
+                                            : lr.overflowOrder[k - lr.nInline];
+                addStrideN(s, k < lr.nInline ? lr.strideCount[k]
+                                             : *lr.strideOverflow.find(s));
+                replayed[nReplayed++] = s;
+            }
+            if (k == total)
+                return;
+            auto addLocal = [&](uint64_t s, uint64_t &count) {
+                if (std::find(replayed.begin(),
+                              replayed.begin() + nReplayed,
+                              s) == replayed.begin() + nReplayed)
+                    count += lr.strideCountOf(s);
+            };
+            for (size_t i = 0; i < nInline; ++i)
+                addLocal(strideKey[i], strideCount[i]);
+            strideOverflow.forEach(addLocal);
+        }
     };
     std::vector<OpRunning> opRunning_;
+    /** Cold loads not yet in coldWindows_, ascending uop indices. */
     std::vector<uint64_t> coldLoadUopIdx_;
+    /** Cold-load burstiness (thesis §4.4) for one ROB size over the
+     *  cold loads summarized so far: how many ROB-sized windows of the
+     *  stream hold one, and the first and last of those windows. A
+     *  segment summarizes its own cold loads on the worker; summaries
+     *  join in stream order, a window split by the boundary counted
+     *  once. */
+    struct ColdWindows {
+        uint64_t windows = 0;
+        uint64_t first = 0; ///< window indices; set when windows > 0
+        uint64_t last = 0;
+    };
+    std::vector<ColdWindows> coldWindows_; ///< per ROB size
+    void summarizeColdLoads();
     /** Exact corrections for accesses whose type differs from their
      *  static op's nominal type ([0] loads, [1] stores). */
     struct TypeAdjust {
@@ -317,19 +445,27 @@ class SegmentProfiler
     static constexpr uint32_t kNoWindow = ~0u;
     /** First local touch of a data line: reuse distance unknowable
      *  until the upstream last-touch map arrives. Exactly one entry per
-     *  distinct line touched by the segment; seal() fills in the
-     *  segment's *last* touch of the line so absorb advances the global
-     *  last-touch map in the same single probe that resolves the first
-     *  touch. */
+     *  distinct line touched by the segment, in first-touch order. */
     struct PendingLine {
         uint64_t line;
         uint64_t localMemIdx;
-        uint64_t lastLocalIdx = 0; ///< filled by seal()
         uint64_t uopIndex; ///< absolute, for cold-burstiness windows
         uint32_t op;       ///< local memOps index
         uint32_t window;   ///< local windows index or kNoWindow
         bool isStore;
+        uint8_t shard; ///< lineShard(line)
     };
+    /** A pending line in its shard's group, built by seal(). Carries
+     *  the segment's *last* touch of the line too, so resolveLines()
+     *  advances the shard map in the same probe that resolves the first
+     *  touch, and the result it writes. */
+    struct ShardLine {
+        uint64_t line;
+        uint64_t firstIdx; ///< local memory index of the first touch
+        uint64_t lastIdx;  ///< local memory index of the last touch
+        uint32_t bin;      ///< reuse bin of the first touch, or kColdLine
+    };
+    static constexpr uint32_t kColdLine = ~0u;
     /** First local touch of an instruction line. Entry 0 is the
      *  segment-start access, which is *tentative*: if the previous
      *  segment ends in the same i-line, the sequential pass would see
@@ -370,6 +506,13 @@ class SegmentProfiler
     };
 
     std::vector<PendingLine> pendingLines_;
+    /** pendingLines_ grouped by shard (first-touch order within each):
+     *  shard s holds [shardBegin_[s], shardBegin_[s + 1]). */
+    std::vector<ShardLine> shardLines_;
+    std::array<uint32_t, kLineShards + 1> shardBegin_{};
+    /** Which shards resolveLines() has taken this segment through. */
+    std::array<bool, kLineShards> shardResolved_{};
+    bool linesFolded_ = false;
     std::vector<PendingILine> pendingILines_;
     std::vector<PendingBranch> pendingBranches_;
     std::vector<AffectedWindow> affectedWindows_;

@@ -281,12 +281,80 @@ MtfReader::validate(const MtfLimits &limits)
         return corrupt("mtf footer magic missing (truncated?)");
     uint64_t count = getLe64(d + footerAt + 4);
     uint64_t want = getLe64(d + footerAt + 12);
-    if (fnv1a64(kFnvInit, d, footerAt + 12) != want)
+
+    // One walk proves every record (so decode() is infallible) and folds
+    // each record's bytes into the checksum as it goes. The errors keep
+    // the order of separate passes — checksum, then count bounds, then
+    // records — so a record error only ends the record checks: the
+    // bytes from the failing record on are still hashed, and a checksum
+    // mismatch wins. The walk is bounded by the record bytes present,
+    // however large the count.
+    const uint8_t *p = d + kMtfHeaderBytes;
+    const uint8_t *end = d + footerAt;
+    const uint8_t *hashed = d; // [d, hashed) is folded into h
+    uint64_t h = kFnvInit;
+    Status recordStatus = Status::ok();
+    auto recordError = [&](uint64_t i, const std::string &what) {
+        recordStatus = corrupt("mtf record " + std::to_string(i) + what);
+    };
+    for (uint64_t i = 0; i < count; ++i) {
+        if (p >= end) {
+            recordError(i, " truncated");
+            break;
+        }
+        uint8_t ctl = *p++;
+        if (ctl & kReservedMask) {
+            recordError(i, " has reserved control bits set");
+            break;
+        }
+        uint8_t type = ctl & kTypeMask;
+        if (type >= static_cast<uint8_t>(UopType::NumTypes)) {
+            recordError(i, " has invalid uop type " + std::to_string(type));
+            break;
+        }
+        uint64_t delta = 0;
+        size_t vn = getVarint(p, end, delta);
+        if (vn == 0) {
+            recordError(i, " has a truncated or over-long pc delta");
+            break;
+        }
+        p += vn;
+        if (end - p < 3) {
+            recordError(i, " truncated in operand bytes");
+            break;
+        }
+        int badReg = -1;
+        for (int r = 0; r < 3 && badReg < 0; ++r)
+            if (p[r] > kNumRegs)
+                badReg = p[r];
+        if (badReg >= 0) {
+            recordError(i, " operand register " +
+                               std::to_string(badReg - 1) +
+                               " out of range");
+            break;
+        }
+        p += 3;
+        if (isMemory(static_cast<UopType>(type))) {
+            vn = getVarint(p, end, delta);
+            if (vn == 0) {
+                recordError(i,
+                            " has a truncated or over-long address delta");
+                break;
+            }
+            p += vn;
+        }
+        h = fnv1a64(h, hashed, static_cast<size_t>(p - hashed));
+        hashed = p;
+    }
+    // The rest: trailing record bytes, or everything from a failing
+    // record on; then the footer magic and count.
+    h = fnv1a64(h, hashed, static_cast<size_t>(d + footerAt + 12 - hashed));
+    if (h != want)
         return corrupt("mtf checksum mismatch (bit rot or truncation)");
 
-    // Bounds before any decode: the count must be plausible for the
-    // record bytes present, so a count inflated behind a recomputed
-    // checksum is rejected without touching the records.
+    // Bounds before the record verdict: the count must be plausible for
+    // the record bytes present, so a count inflated behind a recomputed
+    // checksum is rejected as such.
     const size_t recordBytes = footerAt - kMtfHeaderBytes;
     if (count > limits.maxUops)
         return resourceExhausted(
@@ -296,49 +364,8 @@ MtfReader::validate(const MtfLimits &limits)
         return corrupt("mtf uop count " + std::to_string(count) +
                        " not backed by record bytes (" +
                        std::to_string(recordBytes) + ")");
-
-    // Full decode pass: prove every record so decode() is infallible.
-    const uint8_t *p = d + kMtfHeaderBytes;
-    const uint8_t *end = d + footerAt;
-    for (uint64_t i = 0; i < count; ++i) {
-        if (p >= end)
-            return corrupt("mtf record " + std::to_string(i) +
-                           " truncated");
-        uint8_t ctl = *p++;
-        if (ctl & kReservedMask)
-            return corrupt("mtf record " + std::to_string(i) +
-                           " has reserved control bits set");
-        uint8_t type = ctl & kTypeMask;
-        if (type >= static_cast<uint8_t>(UopType::NumTypes))
-            return corrupt("mtf record " + std::to_string(i) +
-                           " has invalid uop type " +
-                           std::to_string(type));
-        uint64_t delta = 0;
-        size_t vn = getVarint(p, end, delta);
-        if (vn == 0)
-            return corrupt("mtf record " + std::to_string(i) +
-                           " has a truncated or over-long pc delta");
-        p += vn;
-        if (end - p < 3)
-            return corrupt("mtf record " + std::to_string(i) +
-                           " truncated in operand bytes");
-        for (int r = 0; r < 3; ++r) {
-            if (p[r] > kNumRegs)
-                return corrupt(
-                    "mtf record " + std::to_string(i) +
-                    " operand register " + std::to_string(p[r] - 1) +
-                    " out of range");
-        }
-        p += 3;
-        if (isMemory(static_cast<UopType>(type))) {
-            vn = getVarint(p, end, delta);
-            if (vn == 0)
-                return corrupt(
-                    "mtf record " + std::to_string(i) +
-                    " has a truncated or over-long address delta");
-            p += vn;
-        }
-    }
+    if (!recordStatus.isOk())
+        return recordStatus;
     if (p != end)
         return corrupt(
             "mtf has " + std::to_string(end - p) +

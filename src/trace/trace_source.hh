@@ -11,8 +11,10 @@
  * Segment contract (matches SegmentProfiler::feed): every segment
  * except the last must span a whole number of sampling windows so
  * micro-traces never straddle a segment boundary. Drivers guarantee
- * this by always requesting window-aligned segment sizes; a source
- * simply yields exactly @p maxUops uops until the stream's tail.
+ * this by requesting window-aligned segment sizes. A source should
+ * yield exactly @p maxUops uops until the stream's tail; the profiling
+ * drivers also accept shorter spans mid-stream, gathering them into a
+ * full span at the cost of a copy.
  */
 
 #ifndef MIPP_TRACE_TRACE_SOURCE_HH

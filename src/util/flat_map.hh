@@ -93,7 +93,7 @@ class FlatMap
     {
         if (slots_.empty())
             return;
-        size_t i = static_cast<size_t>(mix(key)) & (slots_.size() - 1);
+        size_t i = static_cast<size_t>(hash(key)) & (slots_.size() - 1);
         __builtin_prefetch(&used_[i]);
         __builtin_prefetch(&slots_[i]);
     }
@@ -135,6 +135,33 @@ class FlatMap
                 fn(slots_[i].key, slots_[i].val);
     }
 
+    /** forEach with mutable values. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (size_t i = 0; i < slots_.size(); ++i)
+            if (used_[i])
+                fn(slots_[i].key, slots_[i].val);
+    }
+
+    /**
+     * Fibonacci multiplicative hash, one multiply deep. The high product
+     * bits carry the mixing; the xor-shift folds them into the low bits
+     * the power-of-two mask keeps. Spreads sequential keys (line
+     * addresses, pcs) well, and the shallow latency beats a stronger
+     * finalizer on the profiler's probe-per-uop path. Below 2^31 slots
+     * the slot index never depends on the top bits, so a caller may
+     * split keys across several maps by those bits without skewing any
+     * map's probe chains.
+     */
+    static uint64_t
+    hash(uint64_t x)
+    {
+        x *= 0x9e3779b97f4a7c15ULL;
+        return x ^ (x >> 29);
+    }
+
   private:
     struct Slot {
         uint64_t key;
@@ -146,26 +173,12 @@ class FlatMap
     static constexpr size_t kMaxLoadNum = 7;
     static constexpr size_t kMaxLoadDen = 8;
 
-    /**
-     * Fibonacci multiplicative hash, one multiply deep. The high product
-     * bits carry the mixing; the xor-shift folds them into the low bits
-     * the power-of-two mask keeps. Spreads sequential keys (line
-     * addresses, pcs) well, and the shallow latency beats a stronger
-     * finalizer on the profiler's probe-per-uop path.
-     */
-    static uint64_t
-    mix(uint64_t x)
-    {
-        x *= 0x9e3779b97f4a7c15ULL;
-        return x ^ (x >> 29);
-    }
-
     /** Index of @p key's slot, or of the first empty slot in its chain. */
     size_t
     probe(uint64_t key) const
     {
         size_t mask = slots_.size() - 1;
-        size_t i = static_cast<size_t>(mix(key)) & mask;
+        size_t i = static_cast<size_t>(hash(key)) & mask;
         while (used_[i] && slots_[i].key != key)
             i = (i + 1) & mask;
         return i;

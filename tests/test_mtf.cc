@@ -383,6 +383,19 @@ TEST(MtfCorpus, EverySampleIsAStructuredError)
     }
 }
 
+TEST(MtfCorpus, ChecksumMismatchOutranksABadRecord)
+{
+    // bad_reg.mtf's out-of-range register behind a corrupted checksum:
+    // the record walk that proves the records also computes the
+    // checksum, and the checksum verdict comes first.
+    const std::string path =
+        std::string(MIPP_TEST_CORPUS_DIR) + "/bad_record_bad_checksum.mtf";
+    MtfReader r;
+    Status st = MtfReader::open(path, r, {});
+    EXPECT_EQ(st.code(), StatusCode::Corrupt);
+    EXPECT_EQ(st.message(), "mtf checksum mismatch (bit rot or truncation)");
+}
+
 TEST(MtfCorpus, MissingFileIsInvalidArgument)
 {
     MtfReader r;

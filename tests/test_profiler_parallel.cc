@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "profile_compare.hh"
@@ -378,6 +381,197 @@ TEST(ProfilerParallel, NestedInsidePoolChunkBitIdentical)
         EXPECT_EQ(fromTrace[i], ref);
         EXPECT_EQ(fromSource[i], ref);
     }
+}
+
+// --------------------------------------------------------------------------
+// Sharded line resolution, stride replay, ragged sources
+// --------------------------------------------------------------------------
+
+/** @p t cut into sealed carry segments of @p segUops uops. */
+std::vector<std::unique_ptr<SegmentProfiler>>
+sealedSegments(const Trace &t, const ProfilerConfig &cfg, size_t segUops)
+{
+    std::vector<std::unique_ptr<SegmentProfiler>> segs;
+    for (size_t base = 0; base < t.size(); base += segUops) {
+        auto seg = std::make_unique<SegmentProfiler>(
+            cfg, SegmentProfiler::Role::Carry, base);
+        seg->feed(t.data() + base, std::min(segUops, t.size() - base));
+        seg->seal();
+        segs.push_back(std::move(seg));
+    }
+    return segs;
+}
+
+TEST(ProfilerParallel, ShardResolutionOrderBitIdentical)
+{
+    Trace t = generateWorkload(suiteWorkload("mix_mid"), 200001);
+    ProfilerConfig cfg;
+    cfg.name = "mix_mid";
+    const std::string ref = profileBytes(profileTrace(t, cfg));
+    constexpr size_t kShards = SegmentProfiler::kLineShards;
+
+    {
+        SCOPED_TRACE("shards in reverse, segment by segment");
+        auto segs = sealedSegments(t, cfg, 20000);
+        SegmentProfiler head(cfg);
+        for (auto &seg : segs)
+            for (size_t s = kShards; s-- > 0;)
+                head.resolveLines(*seg, s);
+        for (auto &seg : segs)
+            head.absorb(std::move(*seg));
+        EXPECT_EQ(profileBytes(std::move(head).finalize()), ref);
+    }
+    {
+        // The odd shards run through every segment first, one shard at
+        // a time from the last; absorb resolves the even ones inline.
+        SCOPED_TRACE("shard by shard, half left to absorb");
+        auto segs = sealedSegments(t, cfg, 20000);
+        SegmentProfiler head(cfg);
+        for (size_t s = kShards; s-- > 0;)
+            if (s % 2)
+                for (auto &seg : segs)
+                    head.resolveLines(*seg, s);
+        for (auto &seg : segs)
+            head.absorb(std::move(*seg));
+        EXPECT_EQ(profileBytes(std::move(head).finalize()), ref);
+    }
+    {
+        // Four threads each take every fourth shard through all the
+        // segments; whichever finishes a segment's last shard folds it,
+        // while this thread absorbs each segment once it is folded.
+        SCOPED_TRACE("four threads, absorb concurrent");
+        auto segs = sealedSegments(t, cfg, 20000);
+        std::vector<std::atomic<size_t>> done(segs.size());
+        std::vector<std::atomic<bool>> folded(segs.size());
+        SegmentProfiler head(cfg);
+        std::vector<std::thread> threads;
+        for (size_t w = 0; w < 4; ++w)
+            threads.emplace_back([&, w] {
+                for (size_t k = 0; k < segs.size(); ++k)
+                    for (size_t s = w; s < kShards; s += 4) {
+                        head.resolveLines(*segs[k], s);
+                        if (done[k].fetch_add(1) + 1 == kShards) {
+                            segs[k]->foldLines();
+                            folded[k].store(true);
+                        }
+                    }
+            });
+        for (size_t k = 0; k < segs.size(); ++k) {
+            while (!folded[k].load())
+                std::this_thread::yield();
+            head.absorb(std::move(*segs[k]));
+        }
+        for (std::thread &th : threads)
+            th.join();
+        EXPECT_EQ(profileBytes(std::move(head).finalize()), ref);
+    }
+}
+
+TEST(ProfilerParallel, ShardResolutionOutOfStreamOrderThrows)
+{
+    Trace t = generateWorkload(suiteWorkload("balanced_mix"), 60000);
+    ProfilerConfig cfg;
+    auto segs = sealedSegments(t, cfg, 20000);
+    SegmentProfiler head(cfg);
+    // Shard 0 has not taken segment 0 yet.
+    EXPECT_THROW(head.resolveLines(*segs[1], 0), std::logic_error);
+    // Line folding needs every shard resolved.
+    head.resolveLines(*segs[0], 0);
+    EXPECT_THROW(segs[0]->foldLines(), std::logic_error);
+    // A head cannot feed past a shard that ran ahead of it.
+    EXPECT_THROW(head.feed(t.data(), 20000), std::logic_error);
+}
+
+TEST(ProfilerParallel, HeadFeedsThenAbsorbsTwice)
+{
+    Trace t = generateWorkload(suiteWorkload("mix_mid"), 160000);
+    ProfilerConfig cfg;
+    cfg.name = "mix_mid";
+    const std::string ref = profileBytes(profileTrace(t, cfg));
+
+    SegmentProfiler head(cfg);
+    head.feed(t.data(), 40000);
+    SegmentProfiler a(cfg, SegmentProfiler::Role::Carry, 40000);
+    a.feed(t.data() + 40000, 40000);
+    head.absorb(std::move(a)); // sealed and resolved inside absorb
+    SegmentProfiler b(cfg, SegmentProfiler::Role::Carry, 80000);
+    b.feed(t.data() + 80000, 60000);
+    b.seal();
+    head.resolveLines(b, 3);
+    head.absorb(std::move(b));
+    head.feed(t.data() + 140000, 20000);
+    EXPECT_EQ(profileBytes(std::move(head).finalize()), ref);
+}
+
+/**
+ * One load whose stride sequence brings 25 new distinct strides per
+ * sampling window, mixed with repeats of older ones, so its
+ * 64-distinct stride set fills partway through the third window; a
+ * second load keeps a single stride.
+ */
+Trace
+manyStridesTrace(size_t windows)
+{
+    constexpr size_t kWin = 20000, kEvery = 40, kNew = 25;
+    std::vector<MicroOp> ops(windows * kWin);
+    uint64_t addr = 1ull << 24, addr2 = 1ull << 30;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        MicroOp &op = ops[i];
+        op.pc = 0x400000 + 4 * (i % 16);
+        if (i % kEvery == 0) {
+            const size_t w = i / kWin, m = (i % kWin) / kEvery;
+            const size_t id = m % 2 ? (m * 37) % ((w + 1) * kNew)
+                                    : w * kNew + (m / 2) % kNew;
+            addr += 64 * (id + 1) + 8;
+            op.type = UopType::Load;
+            op.pc = 0x500000;
+            op.addr = addr;
+            op.dst = 1;
+        } else if (i % kEvery == 7) {
+            addr2 += 256;
+            op.type = UopType::Load;
+            op.pc = 0x500040;
+            op.addr = addr2;
+        }
+    }
+    return Trace(std::move(ops));
+}
+
+TEST(ProfilerParallel, StrideSetFillingMidReplayBitIdentical)
+{
+    Trace t = manyStridesTrace(8);
+    ProfilerConfig cfg;
+    const Profile seq = profileTrace(t, cfg);
+    const std::string ref = profileBytes(seq);
+    bool full = false;
+    for (const StaticMemProfile &op : seq.memOps)
+        if (op.pc == 0x500000)
+            full = op.strides.size() == 64;
+    EXPECT_TRUE(full) << "the stride set never filled";
+    // One window per segment fills the set in segment 2's replay, three
+    // windows in segment 0's; later segments replay into a full set.
+    for (size_t segUops : {20000ul, 60000ul}) {
+        SCOPED_TRACE(segUops);
+        EXPECT_EQ(profileBytes(profileTraceParallel(t, cfg, {4, segUops})),
+                  ref);
+        auto segs = sealedSegments(t, cfg, segUops);
+        SegmentProfiler head(cfg);
+        for (auto &seg : segs)
+            head.absorb(std::move(*seg));
+        EXPECT_EQ(profileBytes(std::move(head).finalize()), ref);
+    }
+}
+
+TEST(ProfilerParallel, RaggedSourceOneThreadMatchesTrace)
+{
+    Trace t = generateWorkload(suiteWorkload("branchy"), 100000);
+    ProfilerConfig cfg;
+    const std::string ref = profileBytes(profileTrace(t, cfg));
+    RaggedSource src(t);
+    EXPECT_EQ(profileBytes(profileSourceParallel(src, cfg, {.threads = 1})),
+              ref);
+    src.reset();
+    EXPECT_EQ(profileBytes(profileSource(src, cfg)), ref);
 }
 
 } // namespace

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/thread_pool.hh"
-
 namespace mipp {
 
 namespace {
@@ -451,7 +449,7 @@ SegmentProfiler::observeBranch(const MicroOp &op, bool inMt)
  * Stepping-window chain walk for ROB-size index @p i over the current
  * micro-trace span. Writes only state owned by index i (chains row i,
  * loadDeps row i, wp.*[i]) plus, for the median size only, the per-op
- * load-depth attribution — safe to run concurrently across i.
+ * load-depth attribution.
  */
 void
 SegmentProfiler::walkRobSize(const MicroOp *mt, size_t mtLen, size_t i,
@@ -546,21 +544,9 @@ SegmentProfiler::finishMicroTrace()
 
     // Dependence chains + load-dependence distributions, one pass of
     // stepping windows per profiled ROB size (thesis Alg 3.1, sampled).
-    // The per-size walks are independent; fan them out when the span is
-    // big enough to amortize the dispatch.
     const size_t nSizes = cfg_.robSizes.size();
-    const size_t median = nSizes / 2;
-    ThreadPool &pool = ThreadPool::shared();
-    if (cfg_.parallelWindows && pool.concurrency() > 1 &&
-        mtLen * nSizes >= (1u << 14)) {
-        pool.parallelFor(nSizes, 1, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i)
-                walkRobSize(mt, mtLen, i, median, wp);
-        });
-    } else {
-        for (size_t i = 0; i < nSizes; ++i)
-            walkRobSize(mt, mtLen, i, median, wp);
-    }
+    for (size_t i = 0; i < nSizes; ++i)
+        walkRobSize(mt, mtLen, i, nSizes / 2, wp);
 
     // Per-window branch entropy. For affected carry windows the map is
     // empty and absorb overwrites the value after replay.

@@ -31,7 +31,7 @@
  * exactly the value the sequential profiler would have computed, and
  * every floating-point accumulation happens in the sequential order.
  * Segments must start at a multiple of the sampling window size so
- * micro-traces never straddle a boundary (profileTraceParallel enforces
+ * micro-traces never straddle a boundary (profileSourceParallel enforces
  * this; unsampled configs fall back to the sequential path).
  *
  * Data-line reuse, the costliest deferral, is resolved off the serial

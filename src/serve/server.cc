@@ -55,13 +55,8 @@ writeAll(int fd, const char *p, size_t n)
     return true;
 }
 
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
-}
+/** Significant digits of every number in a reply. */
+constexpr int kDigits = 10;
 
 /** Append `"key":` to a response under construction. */
 void
@@ -78,7 +73,7 @@ errorLine(const Status &st, const json::Value &id)
     std::string out = "{";
     if (id.isNumber()) {
         key(out, "id");
-        out += num(id.number()) + ",";
+        out += json::number(id.number(), kDigits) + ",";
     } else if (id.isString()) {
         key(out, "id");
         out += json::quote(id.str()) + ",";
@@ -108,7 +103,8 @@ parseConfigJson(const json::Value &v, CoreConfig &cfg)
         if (!(d >= lo && d <= hi))
             return invalidArgument(
                 std::string("config.") + std::string(k) +
-                " out of range [" + num(lo) + ", " + num(hi) + "]");
+                " out of range [" + json::number(lo, kDigits) + ", " +
+                json::number(hi, kDigits) + "]");
         out = d;
         return Status();
     };
@@ -686,7 +682,7 @@ struct Server::Impl {
         std::string out = "{";
         if (id.isNumber()) {
             key(out, "id");
-            out += num(id.number()) + ",";
+            out += json::number(id.number(), kDigits) + ",";
         } else if (id.isString()) {
             key(out, "id");
             out += json::quote(id.str()) + ",";
@@ -730,8 +726,8 @@ struct Server::Impl {
         key(body, "profile");
         body += json::quote(name) + ",";
         key(body, "uops");
-        body += num(static_cast<double>(
-            entry->profile[0].totalUops));
+        body += json::number(static_cast<double>(
+            entry->profile[0].totalUops), kDigits);
         return Status();
     }
 
@@ -830,8 +826,8 @@ struct Server::Impl {
         key(body, "profile");
         body += json::quote(name) + ",";
         key(body, "uops");
-        body += num(static_cast<double>(
-            entry->profile[0].totalUops));
+        body += json::number(static_cast<double>(
+            entry->profile[0].totalUops), kDigits);
         return Status();
     }
 
@@ -870,18 +866,19 @@ struct Server::Impl {
         PowerBreakdown pw = computePower(m.activity, cfg);
 
         key(body, "cpi");
-        body += num(m.cpiPerUop()) + ",";
+        body += json::number(m.cpiPerUop(), kDigits) + ",";
         key(body, "watts");
-        body += num(pw.total()) + ",";
+        body += json::number(pw.total(), kDigits) + ",";
         key(body, "cycles");
-        body += num(m.cycles) + ",";
+        body += json::number(m.cycles, kDigits) + ",";
         double n = m.uops > 0 ? m.uops : 1;
         key(body, "stack");
-        body += "{\"base\":" + num(m.stack.base / n) +
-                ",\"branch\":" + num(m.stack.branch / n) +
-                ",\"icache\":" + num(m.stack.icache / n) +
-                ",\"llc\":" + num(m.stack.llcHit / n) +
-                ",\"dram\":" + num(m.stack.dram / n) + "}";
+        auto perUop = [&](double v) { return json::number(v / n, kDigits); };
+        body += "{\"base\":" + perUop(m.stack.base) +
+                ",\"branch\":" + perUop(m.stack.branch) +
+                ",\"icache\":" + perUop(m.stack.icache) +
+                ",\"llc\":" + perUop(m.stack.llcHit) +
+                ",\"dram\":" + perUop(m.stack.dram) + "}";
         return Status();
     }
 
@@ -920,7 +917,8 @@ struct Server::Impl {
             met.degraded.add();
 
         key(body, "space");
-        body += num(static_cast<double>(space.size())) + ",";
+        body += json::number(static_cast<double>(space.size()), kDigits) +
+                ",";
         key(body, "degraded");
         body += r.degraded ? "true," : "false,";
         key(body, "front");
@@ -932,11 +930,13 @@ struct Server::Impl {
                     body += ',';
                 first = false;
                 body += "{\"config\":" +
-                        num(static_cast<double>(pt.configIdx)) +
+                        json::number(static_cast<double>(pt.configIdx),
+                                     kDigits) +
                         ",\"name\":" +
                         json::quote(space[pt.configIdx].name) +
-                        ",\"cpi\":" + num(pt.modelCpi) +
-                        ",\"watts\":" + num(pt.modelWatts) + "}";
+                        ",\"cpi\":" + json::number(pt.modelCpi, kDigits) +
+                        ",\"watts\":" +
+                        json::number(pt.modelWatts, kDigits) + "}";
             }
         }
         body += ']';
@@ -965,9 +965,13 @@ struct Server::Impl {
         key(body, "degraded");
         body += rep.degraded ? "true," : "false,";
         key(body, "points");
-        body += num(static_cast<double>(rep.points.size())) + ",";
+        body += json::number(static_cast<double>(rep.points.size()),
+                             kDigits) +
+                ",";
         key(body, "violations");
-        body += num(static_cast<double>(rep.violations.size())) + ",";
+        body += json::number(static_cast<double>(rep.violations.size()),
+                             kDigits) +
+                ",";
         key(body, "mape");
         body += '{';
         for (size_t m = 0; m < kNumAccuracyMetrics; ++m) {
@@ -975,7 +979,7 @@ struct Server::Impl {
                 body += ',';
             body += json::quote(std::string(accuracyMetricName(
                         static_cast<AccuracyMetric>(m)))) +
-                    ":" + num(rep.summary[m].mape);
+                    ":" + json::number(rep.summary[m].mape, kDigits);
         }
         body += '}';
         return Status();
@@ -992,12 +996,12 @@ struct Server::Impl {
         }
         auto field = [&](std::string_view k, uint64_t v, bool comma) {
             key(body, k);
-            body += num(static_cast<double>(v));
+            body += json::number(static_cast<double>(v), kDigits);
             if (comma)
                 body += ',';
         };
         key(body, "uptime_ms");
-        body += num(s.uptimeMs) + ",";
+        body += json::number(s.uptimeMs, kDigits) + ",";
         field("connections", s.connections, true);
         field("requests", s.requests, true);
         field("served", s.served, true);
@@ -1011,7 +1015,9 @@ struct Server::Impl {
         field("bytes_in", s.bytesIn, true);
         field("bytes_out", s.bytesOut, true);
         key(body, "queue_depth");
-        body += num(static_cast<double>(met.queueDepth.value())) + ",";
+        body += json::number(static_cast<double>(met.queueDepth.value()),
+                             kDigits) +
+                ",";
         key(body, "profiles");
         body += '[';
         for (size_t i = 0; i < names.size(); ++i) {
@@ -1032,7 +1038,7 @@ struct Server::Impl {
                                    format +
                                    "' (json|prometheus|both)");
         key(body, "uptime_ms");
-        body += num(uptimeMsNow());
+        body += json::number(uptimeMsNow(), kDigits);
         if (format == "json" || format == "both") {
             body += ',';
             key(body, "metrics");

@@ -1,5 +1,6 @@
 #include "trace/mtf.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -524,8 +525,12 @@ MtfTraceSource::open(const std::string &path,
 TraceSegment
 MtfTraceSource::next(size_t maxUops)
 {
-    buf_.resize(maxUops);
-    size_t n = reader_.decode(buf_.data(), maxUops);
+    // Size to what is left, not to the request: a request past the end
+    // of the stream would otherwise value-initialize and keep resident
+    // a buffer larger than the whole file.
+    buf_.resize(static_cast<size_t>(
+        std::min<uint64_t>(maxUops, reader_.uopCount() - base_)));
+    size_t n = reader_.decode(buf_.data(), buf_.size());
     TraceSegment seg{buf_.data(), n, base_};
     base_ += n;
     return seg;

@@ -279,4 +279,14 @@ quote(std::string_view s)
     return out;
 }
 
+std::string
+number(double v, int significantDigits)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*g", significantDigits, v);
+    return buf;
+}
+
 } // namespace mipp::json

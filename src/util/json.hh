@@ -1,11 +1,16 @@
 /**
  * @file
- * Minimal JSON value model + parser for the serve wire protocol.
+ * The program's one JSON module: a DOM-style value model, a parser, and
+ * the two leaf formatters every JSON writer uses.
  *
- * The validation harnesses only ever *emit* JSON (validate/json_util.hh);
- * the server also has to *parse* untrusted request lines. This is a
- * small, strict, non-throwing recursive-descent parser over a DOM-style
- * value: objects, arrays, strings (with escapes; \uXXXX accepted and
+ * Everything that reads JSON goes through parse(): serve request lines
+ * (untrusted), the accuracy baseline and the calibration report. Every
+ * writer (serve replies, the metrics registry, the accuracy and
+ * calibration reports) renders its strings with quote() and its
+ * numbers with number(), so what one writes the parser reads back.
+ *
+ * The parser is small, strict, non-throwing and recursive-descent:
+ * objects, arrays, strings (with escapes; \uXXXX accepted and
  * mapped to UTF-8 for the BMP, surrogate pairs rejected as malformed),
  * doubles, bools, null. Limits are explicit — maximum nesting depth and
  * input size are enforced so attacker-shaped bytes cannot recurse or
@@ -130,6 +135,10 @@ Status parse(std::string_view text, Value &out,
 
 /** Serialize a string with JSON escaping, including quotes. */
 std::string quote(std::string_view s);
+
+/** A finite number printed as `%.<significantDigits>g`; `null` for a
+ *  non-finite one (JSON has no NaN or infinity). */
+std::string number(double v, int significantDigits);
 
 } // namespace mipp::json
 

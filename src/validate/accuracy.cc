@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,15 +15,20 @@
 #include "uarch/design_space.hh"
 #include "util/status.hh"
 #include "util/thread_pool.hh"
-#include "validate/json_util.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
 
 namespace {
 
-using jsonutil::jescape;
-using jsonutil::jnum;
+/** Significant digits of the accuracy report's numbers. */
+constexpr int kDigits = 8;
+
+std::string
+num(double v)
+{
+    return json::number(v, kDigits);
+}
 
 constexpr std::array<const char *, kNumAccuracyMetrics> kMetricNames = {
     "cpi",  "base", "branch", "icache", "l2hit", "llcHit",
@@ -48,10 +52,10 @@ fmt(const char *f, double a, double b = 0, double c = 0)
 void
 jstack(std::ostringstream &os, const CpiStack &s)
 {
-    os << "{\"base\": " << jnum(s.base) << ", \"branch\": "
-       << jnum(s.branch) << ", \"icache\": " << jnum(s.icache)
-       << ", \"l2hit\": " << jnum(s.l2hit) << ", \"llcHit\": "
-       << jnum(s.llcHit) << ", \"dram\": " << jnum(s.dram) << "}";
+    os << "{\"base\": " << num(s.base) << ", \"branch\": "
+       << num(s.branch) << ", \"icache\": " << num(s.icache)
+       << ", \"l2hit\": " << num(s.l2hit) << ", \"llcHit\": "
+       << num(s.llcHit) << ", \"dram\": " << num(s.dram) << "}";
 }
 
 void
@@ -435,52 +439,72 @@ runAccuracy(const AccuracyOptions &opts)
     return rep;
 }
 
+void
+writeReportHeader(std::ostream &os, std::string_view schema, size_t uops,
+                  const std::vector<std::string> &grid,
+                  const std::vector<std::string> &workloads)
+{
+    auto names = [&](const std::vector<std::string> &v) {
+        for (size_t i = 0; i < v.size(); ++i)
+            os << (i ? ", " : "") << json::quote(v[i]);
+    };
+    os << "{\n  \"schema\": " << json::quote(schema) << ",\n";
+    os << "  \"uops\": " << uops << ",\n";
+    os << "  \"grid\": [";
+    names(grid);
+    os << "],\n  \"workloads\": [";
+    names(workloads);
+    os << "],\n";
+}
+
+void
+writeSummaryJson(std::ostream &os,
+                 const std::array<MetricSummary, kNumAccuracyMetrics> &summary,
+                 std::string_view indent, int digits)
+{
+    auto n = [&](double v) { return json::number(v, digits); };
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
+        const MetricSummary &s = summary[k];
+        os << indent << '"' << kMetricNames[k] << "\": {\"mape\": "
+           << n(s.mape) << ", \"meanSigned\": " << n(s.meanSigned)
+           << ", \"maxAbs\": " << n(s.maxAbs) << ", \"minSigned\": "
+           << n(s.minSigned) << ", \"maxSigned\": " << n(s.maxSigned)
+           << "}" << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
+    }
+}
+
 std::string
 accuracyJson(const AccuracyReport &r)
 {
     std::ostringstream os;
-    os << "{\n  \"schema\": \"mipp-accuracy-v1\",\n";
-    os << "  \"uops\": " << r.uops << ",\n";
-    os << "  \"grid\": [";
-    for (size_t i = 0; i < r.gridNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.gridNames[i]) << '"';
-    os << "],\n  \"workloads\": [";
-    for (size_t i = 0; i < r.workloadNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.workloadNames[i]) << '"';
-    os << "],\n  \"summary\": {\n";
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        const MetricSummary &s = r.summary[k];
-        os << "    \"" << kMetricNames[k] << "\": {\"mape\": "
-           << jnum(s.mape) << ", \"meanSigned\": " << jnum(s.meanSigned)
-           << ", \"maxAbs\": " << jnum(s.maxAbs) << ", \"minSigned\": "
-           << jnum(s.minSigned) << ", \"maxSigned\": " << jnum(s.maxSigned)
-           << "}" << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
-    }
+    writeReportHeader(os, "mipp-accuracy-v1", r.uops, r.gridNames,
+                      r.workloadNames);
+    os << "  \"summary\": {\n";
+    writeSummaryJson(os, r.summary, "    ", kDigits);
     os << "  },\n  \"violations\": [";
     for (size_t i = 0; i < r.violations.size(); ++i)
-        os << (i ? ", " : "") << "\n    \"" << jescape(r.violations[i])
-           << '"';
+        os << (i ? ", " : "") << "\n    " << json::quote(r.violations[i]);
     os << (r.violations.empty() ? "" : "\n  ") << "],\n  \"points\": [";
     for (size_t i = 0; i < r.points.size(); ++i) {
         const PointAccuracy &p = r.points[i];
-        os << (i ? "," : "") << "\n    {\"workload\": \""
-           << jescape(p.workload) << "\", \"config\": \""
-           << jescape(p.config) << "\",\n     \"simCpi\": "
-           << jnum(p.simCpi) << ", \"modelCpi\": " << jnum(p.modelCpi)
-           << ", \"simWatts\": " << jnum(p.simWatts)
-           << ", \"modelWatts\": " << jnum(p.modelWatts) << ",\n"
+        os << (i ? "," : "") << "\n    {\"workload\": "
+           << json::quote(p.workload) << ", \"config\": "
+           << json::quote(p.config) << ",\n     \"simCpi\": "
+           << num(p.simCpi) << ", \"modelCpi\": " << num(p.modelCpi)
+           << ", \"simWatts\": " << num(p.simWatts)
+           << ", \"modelWatts\": " << num(p.modelWatts) << ",\n"
            << "     \"simStack\": ";
         jstack(os, p.simStack);
         os << ", \"modelStack\": ";
         jstack(os, p.modelStack);
-        os << ",\n     \"simMr\": [" << jnum(p.simMr[0]) << ", "
-           << jnum(p.simMr[1]) << ", " << jnum(p.simMr[2])
-           << "], \"modelMr\": [" << jnum(p.modelMr[0]) << ", "
-           << jnum(p.modelMr[1]) << ", " << jnum(p.modelMr[2]) << "],\n"
+        os << ",\n     \"simMr\": [" << num(p.simMr[0]) << ", "
+           << num(p.simMr[1]) << ", " << num(p.simMr[2])
+           << "], \"modelMr\": [" << num(p.modelMr[0]) << ", "
+           << num(p.modelMr[1]) << ", " << num(p.modelMr[2]) << "],\n"
            << "     \"err\": {";
         for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
             os << (k ? ", " : "") << '"' << kMetricNames[k]
-               << "\": " << jnum(p.err[k]);
+               << "\": " << num(p.err[k]);
         os << "}}";
     }
     os << (r.points.empty() ? "" : "\n  ") << "]\n}\n";
@@ -497,124 +521,113 @@ writeAccuracyJson(const AccuracyReport &r, const std::string &path)
     return static_cast<bool>(out);
 }
 
-std::map<std::string, double>
-loadBaselineMapes(const std::string &path)
+json::Value
+readReportJson(const std::string &path, const char *what)
 {
     std::ifstream in(path);
     if (!in)
-        throw std::runtime_error("cannot read baseline " + path);
+        throw std::runtime_error(std::string("cannot read ") + what + " " +
+                                 path);
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
+    json::Value doc;
+    if (Status st = json::parse(buf.str(), doc); !st.isOk())
+        throw std::runtime_error(std::string(what) + " " + path + ": " +
+                                 st.message());
+    return doc;
+}
 
-    size_t s = text.find("\"summary\"");
-    if (s == std::string::npos)
+double
+reportNumber(const json::Value &obj, std::string_view key, double fallback)
+{
+    const json::Object &o = obj.object();
+    auto it = o.find(key);
+    return it == o.end() ? fallback : it->second.number();
+}
+
+std::array<MetricSummary, kNumAccuracyMetrics>
+readSummaryJson(const json::Value &summary)
+{
+    std::array<MetricSummary, kNumAccuracyMetrics> out{};
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
+        const json::Value &m = summary[kMetricNames[k]];
+        out[k] = {reportNumber(m, "mape", 0),
+                  reportNumber(m, "meanSigned", 0),
+                  reportNumber(m, "maxAbs", 0),
+                  reportNumber(m, "minSigned", 0),
+                  reportNumber(m, "maxSigned", 0)};
+    }
+    return out;
+}
+
+namespace {
+
+/** The MAPE of every metric whose summary entry records one. */
+std::map<std::string, double>
+baselineMapes(const json::Value &doc, const std::string &path)
+{
+    const json::Value &summary = doc["summary"];
+    if (!summary.isObject())
         throw std::runtime_error("baseline " + path +
                                  " has no summary section");
-    size_t e = text.find("\"violations\"", s);
-    std::string summary =
-        text.substr(s, e == std::string::npos ? std::string::npos : e - s);
-
+    std::array<MetricSummary, kNumAccuracyMetrics> s =
+        readSummaryJson(summary);
     std::map<std::string, double> mapes;
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        std::string key = std::string("\"") + kMetricNames[k] + "\"";
-        size_t pos = summary.find(key);
-        if (pos == std::string::npos)
-            continue;
-        size_t mp = summary.find("\"mape\"", pos);
-        if (mp == std::string::npos)
-            continue;
-        mp = summary.find(':', mp);
-        if (mp == std::string::npos)
-            continue;
-        mapes[kMetricNames[k]] = std::strtod(summary.c_str() + mp + 1,
-                                             nullptr);
-    }
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
+        if (summary[kMetricNames[k]].object().contains("mape"))
+            mapes[kMetricNames[k]] = s[k].mape;
     if (mapes.empty())
         throw std::runtime_error("baseline " + path +
                                  " contains no metric MAPEs");
     return mapes;
 }
 
-namespace {
-
-/** Parse a top-level `"key": ["a", "b", ...]` string array out of a
- *  baseline JSON (tolerant: absent key yields an empty list). */
 std::vector<std::string>
-baselineStringArray(const std::string &text, const std::string &key)
+strings(const json::Value &array)
 {
     std::vector<std::string> out;
-    size_t g = text.find("\"" + key + "\"");
-    if (g == std::string::npos)
-        return out;
-    size_t open = text.find('[', g);
-    size_t close = text.find(']', g);
-    if (open == std::string::npos || close == std::string::npos)
-        return out;
-    size_t pos = open;
-    while (true) {
-        size_t q1 = text.find('"', pos);
-        if (q1 == std::string::npos || q1 > close)
-            break;
-        size_t q2 = text.find('"', q1 + 1);
-        if (q2 == std::string::npos || q2 > close)
-            break;
-        out.push_back(text.substr(q1 + 1, q2 - q1 - 1));
-        pos = q2 + 1;
-    }
+    for (const json::Value &v : array.array())
+        out.push_back(v.str());
     return out;
 }
 
-size_t
-baselineUops(const std::string &text)
-{
-    if (size_t u = text.find("\"uops\""); u != std::string::npos) {
-        if (size_t c = text.find(':', u); c != std::string::npos)
-            return std::strtoull(text.c_str() + c + 1, nullptr, 10);
-    }
-    return 0;
-}
-
 } // namespace
+
+std::map<std::string, double>
+loadBaselineMapes(const std::string &path)
+{
+    return baselineMapes(readReportJson(path, "baseline"), path);
+}
 
 std::vector<std::string>
 compareToBaseline(const AccuracyReport &r, const std::string &baselinePath,
                   double marginPct)
 {
+    const json::Value doc = readReportJson(baselinePath, "baseline");
     std::vector<std::string> regressions;
 
     // Provenance: MAPEs from a different grid or trace length are not
     // comparable point-for-point; fail loudly instead of gating noise.
-    {
-        std::ifstream in(baselinePath);
-        if (!in)
-            throw std::runtime_error("cannot read baseline " +
-                                     baselinePath);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::string text = buf.str();
-        size_t goldenUops = baselineUops(text);
-        auto goldenGrid = baselineStringArray(text, "grid");
-        auto goldenWorkloads = baselineStringArray(text, "workloads");
-        if (goldenUops != 0 && goldenUops != r.uops)
-            regressions.push_back(
-                fmt("baseline recorded at %.0f uops, report ran %.0f — "
-                    "rerun with matching --uops",
-                    double(goldenUops), double(r.uops)));
-        if (!goldenGrid.empty() && goldenGrid != r.gridNames)
-            regressions.push_back(
-                "baseline recorded on a different design-point grid — "
-                "rerun with the matching --grid");
-        if (!goldenWorkloads.empty() &&
-            goldenWorkloads != r.workloadNames)
-            regressions.push_back(
-                "baseline recorded over a different workload set — "
-                "rerun without --workload/--no-phased filters");
-        if (!regressions.empty())
-            return regressions;
-    }
+    double goldenUops = reportNumber(doc, "uops", 0);
+    auto goldenGrid = strings(doc["grid"]);
+    auto goldenWorkloads = strings(doc["workloads"]);
+    if (goldenUops != 0 && goldenUops != double(r.uops))
+        regressions.push_back(
+            fmt("baseline recorded at %.0f uops, report ran %.0f — "
+                "rerun with matching --uops",
+                goldenUops, double(r.uops)));
+    if (!goldenGrid.empty() && goldenGrid != r.gridNames)
+        regressions.push_back(
+            "baseline recorded on a different design-point grid — "
+            "rerun with the matching --grid");
+    if (!goldenWorkloads.empty() && goldenWorkloads != r.workloadNames)
+        regressions.push_back(
+            "baseline recorded over a different workload set — "
+            "rerun without --workload/--no-phased filters");
+    if (!regressions.empty())
+        return regressions;
 
-    std::map<std::string, double> golden = loadBaselineMapes(baselinePath);
+    std::map<std::string, double> golden = baselineMapes(doc, baselinePath);
     for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
         auto it = golden.find(kMetricNames[k]);
         if (it == golden.end())

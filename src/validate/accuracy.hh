@@ -46,6 +46,7 @@
 #define MIPP_VALIDATE_ACCURACY_HH
 
 #include <array>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,6 +56,7 @@
 #include "uarch/core_config.hh"
 #include "uarch/cpi_stack.hh"
 #include "util/cancel.hh"
+#include "util/json.hh"
 
 namespace mipp {
 
@@ -209,11 +211,41 @@ std::vector<std::string> checkModelConsistency(const ModelResult &m,
 /** Serialize a report to JSON (machine-readable, stable key names). */
 std::string accuracyJson(const AccuracyReport &r);
 
+/**
+ * JSON plumbing shared by the accuracy and calibration reports (both
+ * documents open with the same provenance members and hold per-metric
+ * summaries in the same shape):
+ *
+ * readReportJson reads and parses a whole report file; it throws
+ * std::runtime_error "cannot read <what> <path>" on an unreadable file
+ * and carries the parse message on one that is not valid JSON.
+ * reportNumber reads a number member: @p fallback when absent, 0 when
+ * present but not a number (the writers spell a non-finite value
+ * `null`). writeReportHeader opens the document with its schema, uops,
+ * grid and workloads members. writeSummaryJson writes one line per
+ * metric at @p indent with @p digits significant digits, and
+ * readSummaryJson reads such an object back (absent metrics and keys
+ * read as 0).
+ */
+json::Value readReportJson(const std::string &path, const char *what);
+double reportNumber(const json::Value &obj, std::string_view key,
+                    double fallback);
+void writeReportHeader(std::ostream &os, std::string_view schema,
+                       size_t uops, const std::vector<std::string> &grid,
+                       const std::vector<std::string> &workloads);
+void writeSummaryJson(
+    std::ostream &os,
+    const std::array<MetricSummary, kNumAccuracyMetrics> &summary,
+    std::string_view indent, int digits);
+std::array<MetricSummary, kNumAccuracyMetrics>
+readSummaryJson(const json::Value &summary);
+
 /** Write accuracyJson(r) to @p path. @return success. */
 bool writeAccuracyJson(const AccuracyReport &r, const std::string &path);
 
 /** Load the per-metric MAPEs from a golden baseline JSON written by
- *  writeAccuracyJson(). Throws std::runtime_error on unreadable input. */
+ *  writeAccuracyJson(). Throws std::runtime_error on unreadable or
+ *  malformed input, or when the summary holds no MAPE. */
 std::map<std::string, double> loadBaselineMapes(const std::string &path);
 
 /**

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -13,14 +11,11 @@
 #include "obs/trace.hh"
 #include "profiler/profiler.hh"
 #include "util/thread_pool.hh"
-#include "validate/json_util.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
 
 namespace {
-
-using jsonutil::jescape;
 
 size_t
 mi(AccuracyMetric m)
@@ -28,12 +23,14 @@ mi(AccuracyMetric m)
     return static_cast<size_t>(m);
 }
 
-/** %.17g: 17 significant digits make loadCalibrationJson a lossless
- *  inverse (the round-trip test relies on it). */
+/** 17 significant digits make loadCalibrationJson a lossless inverse
+ *  (the round-trip test relies on it). */
+constexpr int kDigits = 17;
+
 std::string
-jnum(double v)
+num(double v)
 {
-    return jsonutil::jnum(v, "%.17g");
+    return json::number(v, kDigits);
 }
 
 constexpr size_t kNumKinds =
@@ -58,6 +55,19 @@ struct FitState {
 
     size_t nw() const { return names.size(); }
     size_t nc() const { return grid.size(); }
+
+    /** Simulate every (workload, grid point) pair into sims. */
+    void
+    simulateGrid()
+    {
+        sims.assign(nw() * nc(), {});
+        parallelForShared(nw(), opts.threads,
+                          [&](size_t begin, size_t end) {
+            for (size_t wi = begin; wi < end; ++wi)
+                for (size_t ci = 0; ci < nc(); ++ci)
+                    sims[wi * nc() + ci] = simulate(traces[wi], grid[ci]);
+        });
+    }
 
     /** Evaluate the model at @p cal for every point. */
     std::vector<PointAccuracy>
@@ -187,7 +197,7 @@ runCalibration(const CalibrationOptions &opts)
     for (const auto &c : st.grid)
         rep.gridNames.push_back(c.name);
 
-    const size_t nw = st.nw(), nc = st.nc();
+    const size_t nw = st.nw();
 
     // --- Stage 1: piecewise entropy fits against simulated predictors ---
     if (opts.fitBranch) {
@@ -229,14 +239,7 @@ runCalibration(const CalibrationOptions &opts)
     // --- Stage 2: simulator ground truth over the grid -------------------
     {
         MIPP_SPAN("calibrate.sim_grid");
-        st.sims.resize(nw * nc);
-        parallelForShared(nw, opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi)
-                for (size_t ci = 0; ci < nc; ++ci)
-                    st.sims[wi * nc + ci] =
-                        simulate(st.traces[wi], st.grid[ci]);
-        });
+        st.simulateGrid();
     }
 
     // "Before": the incoming calibration, incoming branch fits.
@@ -268,15 +271,7 @@ runCalibration(const CalibrationOptions &opts)
     // here as a summary far off the "after" column.
     for (const std::string &preset : opts.checkGrids) {
         st.grid = accuracyGrid(preset);
-        const size_t cn = st.nc();
-        st.sims.assign(nw * cn, {});
-        parallelForShared(nw, opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi)
-                for (size_t ci = 0; ci < cn; ++ci)
-                    st.sims[wi * cn + ci] =
-                        simulate(st.traces[wi], st.grid[ci]);
-        });
+        st.simulateGrid();
         CalibrationReport::GridCheck gc;
         gc.grid = preset;
         gc.summary = summarizeAccuracy(st.evaluate(cal));
@@ -289,59 +284,40 @@ std::string
 calibrationJson(const CalibrationReport &r)
 {
     std::ostringstream os;
-    os << "{\n  \"schema\": \"mipp-calibration-v1\",\n";
-    os << "  \"uops\": " << r.uops << ",\n";
-    os << "  \"grid\": [";
-    for (size_t i = 0; i < r.gridNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.gridNames[i]) << '"';
-    os << "],\n  \"workloads\": [";
-    for (size_t i = 0; i < r.workloadNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.workloadNames[i]) << '"';
-    os << "],\n  \"calibration\": {"
-       << "\"penaltyScale\": " << jnum(r.cal.penaltyScale)
-       << ", \"baseWindowFrac\": " << jnum(r.cal.baseWindowFrac)
-       << ", \"mlpWindowFrac\": " << jnum(r.cal.mlpWindowFrac)
-       << ", \"shadowScale\": " << jnum(r.cal.shadowScale)
-       << ", \"busQueueScale\": " << jnum(r.cal.busQueueScale)
-       << ", \"coldInject\": " << jnum(r.cal.coldInject) << "},\n";
+    writeReportHeader(os, "mipp-calibration-v1", r.uops, r.gridNames,
+                      r.workloadNames);
+    os << "  \"calibration\": {"
+       << "\"penaltyScale\": " << num(r.cal.penaltyScale)
+       << ", \"baseWindowFrac\": " << num(r.cal.baseWindowFrac)
+       << ", \"mlpWindowFrac\": " << num(r.cal.mlpWindowFrac)
+       << ", \"shadowScale\": " << num(r.cal.shadowScale)
+       << ", \"busQueueScale\": " << num(r.cal.busQueueScale)
+       << ", \"coldInject\": " << num(r.cal.coldInject) << "},\n";
     os << "  \"branchFits\": [";
     for (size_t i = 0; i < r.branchFits.size(); ++i) {
         const BranchMissModel &m = r.branchFits[i];
-        os << (i ? "," : "") << "\n    {\"kind\": \""
-           << branchPredictorName(m.kind) << "\", \"slope\": "
-           << jnum(m.slope) << ", \"intercept\": " << jnum(m.intercept)
-           << ", \"knee\": " << jnum(m.knee) << ", \"kneeSlope\": "
-           << jnum(m.kneeSlope) << ", \"r2\": "
-           << jnum(i < r.branchR2.size() ? r.branchR2[i] : 0) << "}";
+        os << (i ? "," : "") << "\n    {\"kind\": "
+           << json::quote(branchPredictorName(m.kind)) << ", \"slope\": "
+           << num(m.slope) << ", \"intercept\": " << num(m.intercept)
+           << ", \"knee\": " << num(m.knee) << ", \"kneeSlope\": "
+           << num(m.kneeSlope) << ", \"r2\": "
+           << num(i < r.branchR2.size() ? r.branchR2[i] : 0) << "}";
     }
     os << (r.branchFits.empty() ? "" : "\n  ") << "],\n";
     os << "  \"branchPoints\": [";
     for (size_t i = 0; i < r.branchPoints.size(); ++i) {
         const EntropyObservation &o = r.branchPoints[i];
-        os << (i ? "," : "") << "\n    {\"kind\": \""
-           << branchPredictorName(o.kind) << "\", \"workload\": \""
-           << jescape(o.workload) << "\", \"entropy\": "
-           << jnum(o.entropy) << ", \"missRate\": "
-           << jnum(o.simMissRate) << "}";
+        os << (i ? "," : "") << "\n    {\"kind\": "
+           << json::quote(branchPredictorName(o.kind)) << ", \"workload\": "
+           << json::quote(o.workload) << ", \"entropy\": "
+           << num(o.entropy) << ", \"missRate\": "
+           << num(o.simMissRate) << "}";
     }
     os << (r.branchPoints.empty() ? "" : "\n  ") << "],\n";
-    auto emitMetrics = [&](const auto &summary, const char *indent) {
-        for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-            const MetricSummary &s = summary[k];
-            os << indent << "\""
-               << accuracyMetricName(static_cast<AccuracyMetric>(k))
-               << "\": {\"mape\": " << jnum(s.mape)
-               << ", \"meanSigned\": " << jnum(s.meanSigned)
-               << ", \"maxAbs\": " << jnum(s.maxAbs)
-               << ", \"minSigned\": " << jnum(s.minSigned)
-               << ", \"maxSigned\": " << jnum(s.maxSigned) << "}"
-               << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
-        }
-    };
     auto emitSummary = [&](const char *name, const auto &summary,
                            const char *tail) {
         os << "  \"" << name << "\": {\n";
-        emitMetrics(summary, "    ");
+        writeSummaryJson(os, summary, "    ", kDigits);
         os << "  }" << tail << "\n";
     };
     emitSummary("before", r.before, ",");
@@ -350,9 +326,9 @@ calibrationJson(const CalibrationReport &r)
         os << "  \"gridChecks\": [";
         for (size_t i = 0; i < r.gridChecks.size(); ++i) {
             const CalibrationReport::GridCheck &gc = r.gridChecks[i];
-            os << (i ? "," : "") << "\n    {\"grid\": \""
-               << jescape(gc.grid) << "\", \"summary\": {\n";
-            emitMetrics(gc.summary, "      ");
+            os << (i ? "," : "") << "\n    {\"grid\": "
+               << json::quote(gc.grid) << ", \"summary\": {\n";
+            writeSummaryJson(os, gc.summary, "      ", kDigits);
             os << "    }}";
         }
         os << "\n  ]\n";
@@ -371,158 +347,53 @@ writeCalibrationJson(const CalibrationReport &r, const std::string &path)
     return static_cast<bool>(out);
 }
 
-namespace {
-
-/** Value of `"key": <number>` after @p from; NaN when absent. */
-double
-findNum(const std::string &text, const std::string &key, size_t from,
-        size_t limit = std::string::npos)
-{
-    size_t p = text.find("\"" + key + "\"", from);
-    if (p == std::string::npos || p >= limit)
-        return std::nan("");
-    p = text.find(':', p);
-    if (p == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-MetricSummary
-parseSummaryEntry(const std::string &text, size_t sectionPos,
-                  size_t sectionEnd, std::string_view metric)
-{
-    MetricSummary s;
-    size_t p = text.find("\"" + std::string(metric) + "\"", sectionPos);
-    if (p == std::string::npos || p >= sectionEnd)
-        return s;
-    size_t end = text.find('}', p);
-    auto get = [&](const char *k) {
-        double v = findNum(text, k, p, end);
-        return std::isnan(v) ? 0.0 : v;
-    };
-    s.mape = get("mape");
-    s.meanSigned = get("meanSigned");
-    s.maxAbs = get("maxAbs");
-    s.minSigned = get("minSigned");
-    s.maxSigned = get("maxSigned");
-    return s;
-}
-
-} // namespace
-
 CalibrationReport
 loadCalibrationJson(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read calibration " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    if (text.find("mipp-calibration-v1") == std::string::npos)
+    const json::Value doc = readReportJson(path, "calibration");
+    if (doc["schema"].str() != "mipp-calibration-v1")
         throw std::runtime_error(path + " is not a calibration report");
 
     CalibrationReport r;
-    if (double u = findNum(text, "uops", 0); !std::isnan(u))
-        r.uops = static_cast<size_t>(u);
+    double uops = reportNumber(doc, "uops", 0);
+    r.uops = uops > 0 && uops < 1e19 ? static_cast<size_t>(uops) : 0;
 
-    size_t calPos = text.find("\"calibration\"");
-    if (calPos == std::string::npos)
+    const json::Value &cal = doc["calibration"];
+    if (!cal.isObject())
         throw std::runtime_error(path + " has no calibration section");
-    size_t calEnd = text.find('}', calPos);
-    auto coef = [&](const char *k, double fallback) {
-        double v = findNum(text, k, calPos, calEnd);
-        return std::isnan(v) ? fallback : v;
-    };
-    r.cal.penaltyScale = coef("penaltyScale", 1.0);
-    r.cal.baseWindowFrac = coef("baseWindowFrac", 0.0);
-    r.cal.mlpWindowFrac = coef("mlpWindowFrac", 0.0);
-    r.cal.shadowScale = coef("shadowScale", 1.0);
-    r.cal.busQueueScale = coef("busQueueScale", 1.0);
-    r.cal.coldInject = coef("coldInject", 0.0);
+    r.cal.penaltyScale = reportNumber(cal, "penaltyScale", 1.0);
+    r.cal.baseWindowFrac = reportNumber(cal, "baseWindowFrac", 0.0);
+    r.cal.mlpWindowFrac = reportNumber(cal, "mlpWindowFrac", 0.0);
+    r.cal.shadowScale = reportNumber(cal, "shadowScale", 1.0);
+    r.cal.busQueueScale = reportNumber(cal, "busQueueScale", 1.0);
+    r.cal.coldInject = reportNumber(cal, "coldInject", 0.0);
 
-    // Branch fits: scan the array's objects in order.
-    size_t fitsPos = text.find("\"branchFits\"");
-    if (fitsPos != std::string::npos) {
-        size_t fitsEnd = text.find(']', fitsPos);
-        size_t p = fitsPos;
-        while (true) {
-            size_t obj = text.find('{', p);
-            if (obj == std::string::npos || obj >= fitsEnd)
-                break;
-            size_t end = text.find('}', obj);
-            BranchMissModel m;
-            size_t kq = text.find("\"kind\"", obj);
-            if (kq != std::string::npos && kq < end) {
-                size_t q1 = text.find('"', text.find(':', kq));
-                size_t q2 = text.find('"', q1 + 1);
-                std::string kindName = text.substr(q1 + 1, q2 - q1 - 1);
-                for (size_t k = 0; k < kNumKinds; ++k) {
-                    auto kind = static_cast<BranchPredictorKind>(k);
-                    if (branchPredictorName(kind) == kindName)
-                        m.kind = kind;
-                }
-            }
-            auto num = [&](const char *k, double fb) {
-                double v = findNum(text, k, obj, end);
-                return std::isnan(v) ? fb : v;
-            };
-            m.slope = num("slope", m.slope);
-            m.intercept = num("intercept", m.intercept);
-            m.knee = num("knee", m.knee);
-            m.kneeSlope = num("kneeSlope", m.kneeSlope);
-            r.branchFits.push_back(m);
-            r.branchR2.push_back(num("r2", 0.0));
-            p = end + 1;
+    for (const json::Value &f : doc["branchFits"].array()) {
+        if (!f.isObject())
+            continue;
+        BranchMissModel m;
+        for (size_t k = 0; k < kNumKinds; ++k) {
+            auto kind = static_cast<BranchPredictorKind>(k);
+            if (branchPredictorName(kind) == f["kind"].str())
+                m.kind = kind;
         }
+        m.slope = reportNumber(f, "slope", m.slope);
+        m.intercept = reportNumber(f, "intercept", m.intercept);
+        m.knee = reportNumber(f, "knee", m.knee);
+        m.kneeSlope = reportNumber(f, "kneeSlope", m.kneeSlope);
+        r.branchFits.push_back(m);
+        r.branchR2.push_back(reportNumber(f, "r2", 0.0));
     }
 
-    auto parseSection = [&](const char *name, auto &out) {
-        size_t pos = text.find("\"" + std::string(name) + "\"");
-        if (pos == std::string::npos)
-            return;
-        // The section closes before the next top-level summary; bound
-        // the per-metric search by the following section or the end.
-        size_t bound = text.find("\"after\"", pos + 1);
-        if (bound == std::string::npos || std::string(name) == "after")
-            bound = text.size();
-        for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
-            out[k] = parseSummaryEntry(
-                text, pos, bound,
-                accuracyMetricName(static_cast<AccuracyMetric>(k)));
-    };
-    parseSection("before", r.before);
-    parseSection("after", r.after);
-
-    // Grid cross-checks: entries delimited by their "grid" keys (the
-    // summary objects nest braces, so scan by key rather than brace).
-    size_t gcPos = text.find("\"gridChecks\"");
-    if (gcPos != std::string::npos) {
-        size_t gcEnd = text.find(']', gcPos);
-        if (gcEnd == std::string::npos)
-            gcEnd = text.size();
-        size_t p = gcPos;
-        while (true) {
-            size_t g = text.find("\"grid\"", p);
-            if (g == std::string::npos || g >= gcEnd)
-                break;
-            size_t q1 = text.find('"', text.find(':', g) + 1);
-            size_t q2 = text.find('"', q1 + 1);
-            if (q1 == std::string::npos || q2 == std::string::npos)
-                break;
-            CalibrationReport::GridCheck gc;
-            gc.grid = text.substr(q1 + 1, q2 - q1 - 1);
-            size_t next = text.find("\"grid\"", q2);
-            size_t bound =
-                (next == std::string::npos || next > gcEnd) ? gcEnd
-                                                            : next;
-            for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
-                gc.summary[k] = parseSummaryEntry(
-                    text, q2, bound,
-                    accuracyMetricName(static_cast<AccuracyMetric>(k)));
-            r.gridChecks.push_back(std::move(gc));
-            p = q2;
-        }
+    r.before = readSummaryJson(doc["before"]);
+    r.after = readSummaryJson(doc["after"]);
+    for (const json::Value &g : doc["gridChecks"].array()) {
+        if (!g.isObject())
+            continue;
+        CalibrationReport::GridCheck gc;
+        gc.grid = g["grid"].str();
+        gc.summary = readSummaryJson(g["summary"]);
+        r.gridChecks.push_back(std::move(gc));
     }
     return r;
 }

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "util/status.hh"
 #include "validate/accuracy.hh"
@@ -255,6 +257,47 @@ TEST(AccuracyBaseline, MissingFileThrows)
 {
     EXPECT_THROW(loadBaselineMapes("/nonexistent/file.json"),
                  std::runtime_error);
+}
+
+TEST_F(AccuracyRun, EveryWritableNameSurvivesASelfGate)
+{
+    // Workload names come from any recorded trace's basename; whatever
+    // the writer accepts, the gate must read back unchanged.
+    const char *names[] = {"x[1]", "a\"b", "back\\slash", "tab\there",
+                           "{\"nested\": [1]}", "uni\u00e9"};
+    std::string path = ::testing::TempDir() + "mipp_accuracy_names.json";
+    for (const char *name : names) {
+        AccuracyReport r = report();
+        r.workloadNames[1] = name;
+        r.gridNames[0] = name;
+        r.violations = {std::string(name) + "/" + name + ": sim: x"};
+        ASSERT_TRUE(writeAccuracyJson(r, path));
+        EXPECT_TRUE(compareToBaseline(r, path).empty()) << name;
+        EXPECT_EQ(loadBaselineMapes(path).size(), kNumAccuracyMetrics)
+            << name;
+    }
+    std::remove(path.c_str());
+}
+
+TEST_F(AccuracyRun, MalformedBaselineThrowsInsteadOfHalfReading)
+{
+    const std::string full = accuracyJson(report());
+    std::vector<std::string> bad = {
+        full.substr(0, full.size() / 4),
+        full.substr(0, full.size() / 2),
+        full.substr(0, full.size() - 3),
+        "\"summary\" \"cpi\" \"mape\": 3 \"violations\"",
+        "{\"summary\": {\"cpi\": {\"mape\": 0.5}}} trailing",
+    };
+    std::string path = ::testing::TempDir() + "mipp_accuracy_bad.json";
+    for (const std::string &text : bad) {
+        std::ofstream(path) << text;
+        EXPECT_THROW(loadBaselineMapes(path), std::runtime_error)
+            << text.size();
+        EXPECT_THROW(compareToBaseline(report(), path), std::runtime_error)
+            << text.size();
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -257,6 +258,48 @@ TEST(CalibrationReportJson, RejectsForeignJson)
     std::remove(path.c_str());
     EXPECT_THROW(loadCalibrationJson("/nonexistent/calib.json"),
                  std::runtime_error);
+}
+
+TEST(CalibrationReportJson, QuotedNamesAndNullsRoundTrip)
+{
+    CalibrationReport r;
+    r.gridNames = {"a\"b"};
+    r.workloadNames = {"back\\slash", "tab\there"};
+    CalibrationReport::GridCheck gc;
+    gc.grid = "wi\"de";
+    gc.summary[0] = {1.5, 0, 0, 0, 0};
+    r.gridChecks = {gc};
+    // Non-finite values are written as null and read back as 0.
+    r.after[0].mape = std::nan("");
+
+    std::string path =
+        (std::filesystem::temp_directory_path() / "mipp_calib_names.json")
+            .string();
+    ASSERT_TRUE(writeCalibrationJson(r, path));
+    CalibrationReport got = loadCalibrationJson(path);
+    std::remove(path.c_str());
+
+    ASSERT_EQ(got.gridChecks.size(), 1u);
+    EXPECT_EQ(got.gridChecks[0].grid, "wi\"de");
+    EXPECT_EQ(got.gridChecks[0].summary[0].mape, 1.5);
+    EXPECT_EQ(got.after[0].mape, 0.0);
+}
+
+TEST(CalibrationReportJson, MalformedJsonThrows)
+{
+    CalibrationReport r;
+    const std::string full = calibrationJson(r);
+    std::string path =
+        (std::filesystem::temp_directory_path() / "mipp_calib_trunc.json")
+            .string();
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(full.substr(0, full.size() / 2).c_str(), f);
+        std::fclose(f);
+    }
+    EXPECT_THROW(loadCalibrationJson(path), std::runtime_error);
+    std::remove(path.c_str());
 }
 
 TEST(CalibrationHarness, SmallRunFitsAndImproves)

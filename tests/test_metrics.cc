@@ -226,6 +226,19 @@ TEST(Metrics, RegistryJsonRoundTrip)
     EXPECT_TRUE(sawHist);
 }
 
+TEST(Metrics, RegistryJsonEscapesLabelValues)
+{
+    Registry reg;
+    const std::string labels = "path=\"C:\\tmp\\\"q\"\"\",sep=\"\t\"";
+    reg.counter("odd_total", labels).add(1);
+
+    json::Value doc;
+    Status st = json::parse(reg.renderJson(), doc);
+    ASSERT_TRUE(st.isOk()) << st.toString();
+    ASSERT_EQ(doc["metrics"].array().size(), 1u);
+    EXPECT_EQ(doc["metrics"].array()[0].stringOr("labels", ""), labels);
+}
+
 TEST(Metrics, RegistryPrometheusExposition)
 {
     Registry reg;

@@ -3,7 +3,7 @@
  * BM_ProfileSequential is the single-pass profiler (profileTrace);
  * BM_ProfileParallel/N runs profileTraceParallel with N worker threads
  * over the same trace, its segments in place. BM_ProfileSourceStreaming/N
- * feeds the same trace through a source without stable spans, so the
+ * feeds the same trace through a source that can only stream, so the
  * drivers take the streaming path a file reader does (chunked sequential
  * feeds, per-segment copies). Because parallel profiling is
  * bit-identical to the sequential pass (see
@@ -58,7 +58,7 @@ BENCHMARK(BM_ProfileParallel)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/** Forwards to an inner source without claiming stable spans, as a
+/** Forwards to an inner source without positioned reads, as a
  *  streaming reader's would be. */
 class StreamingSource final : public TraceSource
 {

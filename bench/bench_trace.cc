@@ -3,11 +3,14 @@
  *
  * BM_MtfEncode measures MtfWriter encoding into a memory buffer,
  * BM_MtfDecode raw MtfReader::decode() over an opened trace,
- * BM_MtfOpen MtfReader::parse() (copy + validation walk), and
- * BM_MtfProfileStream the full ingest path the CLI exercises —
- * MtfTraceSource streamed through profileSourceParallel (at one thread,
- * the sequential profileSource). run_benchmarks.sh records the decode
- * rate as the trace ingest-throughput entry in BENCH_speedup.json.
+ * BM_MtfOpen MtfReader::parse() (copy + index checks + every block
+ * hashed and walked on the shared pool), BM_MtfProfileStream the
+ * profiling the CLI runs on an opened file — MtfTraceSource through
+ * profileSourceParallel (at one thread, the sequential profileSource),
+ * and BM_MtfOpenProfile both: the end-to-end cost of a recorded trace,
+ * to set against BM_ProfileParallel (bench_profiler) on the same uops.
+ * run_benchmarks.sh records the decode rate as the trace
+ * ingest-throughput entry in BENCH_speedup.json.
  */
 #include <benchmark/benchmark.h>
 
@@ -88,7 +91,7 @@ BM_MtfDecode(benchmark::State &state)
 BENCHMARK(BM_MtfDecode)->Unit(benchmark::kMillisecond);
 
 /** Open: MtfReader::parse of the shared bytes, i.e. the copy plus the
- *  validation walk (checksum and record checks) every open runs. */
+ *  validation every open runs (index, block checksums, records). */
 void
 BM_MtfOpen(benchmark::State &state)
 {
@@ -121,6 +124,28 @@ BM_MtfProfileStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * sharedTrace().size());
 }
 BENCHMARK(BM_MtfProfileStream)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/** Open + profile, threads = range(0): what a recorded trace costs
+ *  from its bytes to its Profile. */
+void
+BM_MtfOpenProfile(benchmark::State &state)
+{
+    const std::string &bytes = sharedMtfBytes();
+    unsigned threads = static_cast<unsigned>(state.range(0));
+    for (auto _ : state) {
+        MtfReader reader;
+        if (!MtfReader::parse(bytes, reader).isOk())
+            std::abort();
+        MtfTraceSource source(std::move(reader));
+        Profile p = profileSourceParallel(source, {}, {.threads = threads});
+        benchmark::DoNotOptimize(p.profiledUops);
+    }
+    state.SetItemsProcessed(state.iterations() * sharedTrace().size());
+}
+BENCHMARK(BM_MtfOpenProfile)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

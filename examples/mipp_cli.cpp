@@ -279,6 +279,8 @@ cmdTrace(int argc, char **argv)
         std::printf("version  %u\n", info.version);
         std::printf("uops     %llu\n",
                     static_cast<unsigned long long>(info.uopCount));
+        std::printf("blocks   %llu\n",
+                    static_cast<unsigned long long>(info.blockCount));
         std::printf("bytes    %llu (%.2f B/uop encoded)\n",
                     static_cast<unsigned long long>(info.fileBytes),
                     info.bytesPerUop());

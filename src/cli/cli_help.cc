@@ -81,9 +81,10 @@ const std::vector<CommandHelp> kCommands = {
         "trace info",
         "trace info <in.mtf>",
         "validate a .mtf file and print its header facts",
-        "Open (and therefore fully validate: magic, version, checksum,\n"
-        "bounds, every record) a .mtf file and print version, uop\n"
-        "count, file bytes and encoded bytes/uop.",
+        "Open (and therefore fully validate: magic, version, index,\n"
+        "checksums, bounds, every record) a .mtf file and print\n"
+        "version, uop count, block count, file bytes and encoded\n"
+        "bytes/uop.",
     },
     {
         "report accuracy",

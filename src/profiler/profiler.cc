@@ -93,9 +93,11 @@ wholeStream(TraceSource &source, std::vector<MicroOp> &buf)
 /**
  * The ordered segment pipeline behind profileSourceParallel. `threads`
  * worker loops run inside one parallelFor; each loop repeatedly
- *   1. claims and fetches the next window-aligned span under the
- *      source lock (in place for a stable source, else a copy into the
- *      loop's reused buffer),
+ *   1. claims the next window-aligned span under the source lock and
+ *      fetches it: a source with positioned reads (readAt) is read
+ *      after the lock is dropped, in place or into the loop's reused
+ *      buffer; any other source is read under the lock through next()
+ *      and copied into that buffer,
  *   2. profiles it as a sealed Carry segment, holding no lock, and
  *   3. publishes it, then runs whatever ready work it finds: the
  *      segments' data-line shard resolutions (SegmentProfiler::
@@ -128,8 +130,13 @@ class SegmentPipeline
                     size_t span, TraceSource &source)
         : cfg_(cfg), threads_(threads), span_(span),
           maxInFlight_(2 * size_t{threads}), source_(source),
-          stable_(source.stableSpans()), head_(cfg)
+          total_(source.sizeHint()), head_(cfg)
     {
+        // A source of known length answers a positioned read at all,
+        // even an empty one, exactly when it supports them.
+        std::vector<MicroOp> probe;
+        positioned_ = total_ != TraceSource::kUnknownSize &&
+                      source.readAt(0, 0, probe).has_value();
     }
 
     Profile
@@ -159,20 +166,32 @@ class SegmentPipeline
                     if (exhausted_ || !waitForRoom())
                         break;
                     base = nextBase_;
-                    span = nextSpan(source_, span_, buf);
+                    if (positioned_)
+                        span.size = static_cast<size_t>(
+                            std::min<uint64_t>(span_, total_ - base));
+                    else
+                        span = nextSpan(source_, span_, buf);
                     if (span.empty()) {
                         exhausted_ = true;
                         break;
                     }
-                    // An unstable source's span dies on its next
+                    // A span next() yields dies on the source's next
                     // next() call: own a copy.
-                    if (!stable_ && span.data != buf.data()) {
+                    if (!positioned_ && span.data != buf.data()) {
                         buf.assign(span.data, span.data + span.size);
                         span.data = buf.data();
                     }
                     nextBase_ += span.size;
                     std::lock_guard<std::mutex> lk(mu_);
                     seq = claimed_++;
+                }
+                if (positioned_) {
+                    const size_t want = span.size;
+                    span = *source_.readAt(base, want, buf);
+                    if (span.size != want)
+                        throw std::logic_error(
+                            "TraceSource::readAt returned a short span "
+                            "inside the stream");
                 }
                 auto seg = std::make_unique<SegmentProfiler>(
                     cfg_, SegmentProfiler::Role::Carry, base);
@@ -312,8 +331,10 @@ class SegmentPipeline
     const unsigned threads_;
     const size_t span_;
     const size_t maxInFlight_;
-    TraceSource &source_; ///< read under srcMu_ only
-    const bool stable_;
+    /** next() is called under srcMu_ only; readAt() by any loop. */
+    TraceSource &source_;
+    const uint64_t total_;
+    bool positioned_ = false; ///< fetch through readAt, set once
 
     std::mutex srcMu_; ///< claim order == fetch order == stream order
     uint64_t nextBase_ = 0;

@@ -74,9 +74,12 @@ Profile profileSource(TraceSource &source, const ProfilerConfig &cfg = {});
  * One ordered pipeline: `threads` worker loops each claim the next
  * segment (under a lock, in stream order), profile it, and whichever
  * loop is free folds every finished segment into the result in stream
- * order, so decoding and merging overlap with profiling. Segments of
- * a stable-span source are profiled in place; any other source's are
- * copied into each loop's reused buffer. Peak memory is
+ * order, so decoding and merging overlap with profiling. A source with
+ * positioned reads (TraceSource::readAt) is read by each loop for its
+ * own segment, outside the lock: in place for an in-memory trace,
+ * decoded into the loop's reused buffer for an indexed `.mtf` file.
+ * Any other source is read through next() under the lock and each
+ * segment copied into that buffer. Peak memory is
  * O(threads * segment) uops of buffers plus at most 2 * threads
  * profiled-but-unmerged segment states. Unsampled configs, one thread
  * and streams known to fit one segment run profileSource. Safe to call

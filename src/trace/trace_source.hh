@@ -16,12 +16,14 @@
  * drivers also accept shorter spans mid-stream, gathering them into a
  * full span at the cost of a copy.
  *
- * Span lifetime: a span stays valid until the source's next next() or
- * reset() call, unless the source reports stableSpans(), in which case
- * every span it yields lives as long as the source itself. The
- * parallel driver profiles a stable source's segments in place and
- * copies any other source's first; the sequential driver feeds each
- * span before its next next() call, so it never needs the property.
+ * Span lifetime: a span next() yields stays valid until the source's
+ * next next() or reset() call. A source that can also read at any
+ * position (readAt: an in-memory trace, an indexed file) lets the
+ * parallel driver fetch each segment on the loop that profiles it,
+ * outside the fetch lock, with no copy; any other source is read
+ * through next() in stream order and each span is copied before the
+ * next call. The sequential driver feeds each span before its next
+ * next() call, so it only ever uses next().
  */
 
 #ifndef MIPP_TRACE_TRACE_SOURCE_HH
@@ -30,6 +32,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "trace/trace.hh"
 
@@ -50,8 +54,7 @@ struct TraceSegment {
  * Sequential cursor over a uop stream. next() yields the following
  * segment of exactly @p maxUops uops (fewer only at the stream's tail;
  * empty at end-of-stream). The returned span stays valid until the next
- * call to next() or reset(), or as long as the source if stableSpans();
- * callers needing longer lifetimes copy.
+ * call to next() or reset(); callers needing longer lifetimes copy.
  */
 class TraceSource
 {
@@ -64,12 +67,22 @@ class TraceSource
     /** Total uops in the stream, or kUnknownSize for a pure stream. */
     virtual uint64_t sizeHint() const { return kUnknownSize; }
 
-    /** True if the spans next() yields stay valid as long as the
-     *  source does (an in-memory stream); a property of the source
-     *  type, not a setting. */
-    virtual bool stableSpans() const { return false; }
-
     virtual TraceSegment next(size_t maxUops) = 0;
+
+    /**
+     * Positioned read: the uops [base, base + n) of a stream of known
+     * length, fewer only at its end, without moving the next() cursor.
+     * The span points into the source's own storage or into @p buf
+     * (resized to fit) and stays valid while both live. Const and
+     * thread-safe, so concurrent callers may each read their own range.
+     * std::nullopt from a source that can only stream.
+     */
+    virtual std::optional<TraceSegment>
+    readAt(uint64_t /*base*/, size_t /*n*/,
+           std::vector<MicroOp> & /*buf*/) const
+    {
+        return std::nullopt;
+    }
 
     /** Rewind to the start of the stream. */
     virtual void reset() = 0;
@@ -83,21 +96,33 @@ class MaterializedTraceSource final : public TraceSource
 
     uint64_t sizeHint() const override { return trace_->size(); }
 
-    /** Spans point into the trace, which outlives the source. */
-    bool stableSpans() const override { return true; }
-
     TraceSegment
     next(size_t maxUops) override
     {
-        size_t n = std::min(maxUops, trace_->size() - pos_);
-        TraceSegment seg{trace_->data() + pos_, n, pos_};
-        pos_ += n;
+        TraceSegment seg = span(pos_, maxUops);
+        pos_ += seg.size;
         return seg;
+    }
+
+    /** A span into the trace itself: zero-copy, @p buf unused. */
+    std::optional<TraceSegment>
+    readAt(uint64_t base, size_t n,
+           std::vector<MicroOp> & /*buf*/) const override
+    {
+        return span(base, n);
     }
 
     void reset() override { pos_ = 0; }
 
   private:
+    TraceSegment
+    span(uint64_t base, size_t n) const
+    {
+        const size_t at = static_cast<size_t>(
+            std::min<uint64_t>(base, trace_->size()));
+        return {trace_->data() + at, std::min(n, trace_->size() - at), at};
+    }
+
     const Trace *trace_;
     size_t pos_ = 0;
 };

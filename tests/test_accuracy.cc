@@ -210,6 +210,21 @@ TEST_F(AccuracyRun, BaselineGatePassesAgainstItselfAndCatchesRegression)
     std::remove(path.c_str());
 }
 
+TEST_F(AccuracyRun, SelfGateAtZeroMarginPasses)
+{
+    // The golden MAPEs are rounded to the writer's digits; the fresh
+    // ones must be compared rounded the same way, or every MAPE the
+    // writer rounded down reads as a regression at margin 0.
+    const AccuracyReport &rep = report();
+    std::string path = ::testing::TempDir() + "mipp_accuracy_self.json";
+    ASSERT_TRUE(writeAccuracyJson(rep, path));
+    std::vector<std::string> regressions = compareToBaseline(rep, path, 0);
+    EXPECT_TRUE(regressions.empty())
+        << regressions.size() << " regressions, first: "
+        << (regressions.empty() ? "" : regressions[0]);
+    std::remove(path.c_str());
+}
+
 TEST(AccuracyFilter, UnmatchedWorkloadNameThrows)
 {
     AccuracyOptions opts;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -662,11 +664,17 @@ oneFeedBytes(const Trace &t, const ProfilerConfig &cfg)
 TEST(ProfilerParallel, DriversMatchOneFeedReference)
 {
     // profileTrace is profileSource over the trace itself, so pin both
-    // drivers to a single feed, for in-place, copied, ragged, and
-    // ragged-but-known-length sources: a sampled stream within one
-    // streaming chunk, one spanning a full chunk and a tail (1500-uop
-    // windows stream in 24000-uop chunks), and an unsampled stream.
+    // drivers to a single feed, for in-place, decoded (.mtf), copied,
+    // ragged, and ragged-but-known-length sources: a sampled stream
+    // within one streaming chunk, one spanning a full chunk and a tail
+    // (1500-uop windows stream in 24000-uop chunks), and an unsampled
+    // stream. Segments of 3 windows put most segment bases mid-block
+    // in the .mtf file.
     Trace t = generateWorkload(suiteWorkload("mix_mid"), 30001);
+    std::ostringstream os;
+    ASSERT_TRUE(writeMtf(t, os).isOk());
+    MtfReader reader;
+    ASSERT_TRUE(MtfReader::parse(os.str(), reader).isOk());
     ProfilerConfig wide, narrow, full;
     narrow.sampling = {1000, 1500};
     full.sampling = SamplingConfig::full();
@@ -675,37 +683,56 @@ TEST(ProfilerParallel, DriversMatchOneFeedReference)
         const std::string ref = oneFeedBytes(t, *cfg);
         EXPECT_EQ(profileBytes(profileTrace(t, *cfg)), ref);
         MaterializedTraceSource mem(t);
+        MtfTraceSource file(reader);
         ForwardingSource copied(mem);
         RaggedSource ragged(t);
         ForwardingSource raggedKnown(ragged, t.size());
-        for (TraceSource *src :
-             std::vector<TraceSource *>{&copied, &ragged, &raggedKnown}) {
+        for (TraceSource *src : std::vector<TraceSource *>{
+                 &mem, &file, &copied, &ragged, &raggedKnown}) {
             src->reset();
             EXPECT_EQ(profileBytes(profileSource(*src, *cfg)), ref);
             for (unsigned threads : {1u, 4u}) {
-                SCOPED_TRACE(threads);
-                src->reset();
-                EXPECT_EQ(profileBytes(profileSourceParallel(
-                              *src, *cfg, {threads, 6000})),
-                          ref);
+                for (size_t segUops :
+                     {size_t{6000}, 3 * cfg->sampling.windowSize}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "threads " << threads << " segUops "
+                                 << segUops);
+                    src->reset();
+                    EXPECT_EQ(profileBytes(profileSourceParallel(
+                                  *src, *cfg, {threads, segUops})),
+                              ref);
+                }
             }
         }
     }
 }
 
-TEST(ProfilerParallel, StableSpansIsAPropertyOfTheSource)
+TEST(ProfilerParallel, PositionedReadsAreAPropertyOfTheSource)
 {
     Trace t = generateWorkload(suiteWorkload("balanced_mix"), 5000);
+    std::vector<MicroOp> buf;
     MaterializedTraceSource mem(t);
-    EXPECT_TRUE(mem.stableSpans());
-    EXPECT_FALSE(ForwardingSource(mem).stableSpans());
+    std::optional<TraceSegment> inPlace = mem.readAt(1000, 300, buf);
+    ASSERT_TRUE(inPlace.has_value());
+    EXPECT_EQ(inPlace->data, t.data() + 1000); // zero-copy
+    EXPECT_EQ(inPlace->size, 300u);
+    EXPECT_EQ(inPlace->baseUop, 1000u);
+    EXPECT_EQ(mem.readAt(4900, 300, buf)->size, 100u); // the tail
+    EXPECT_FALSE(ForwardingSource(mem).readAt(0, 300, buf).has_value());
 
     std::ostringstream os;
     ASSERT_TRUE(writeMtf(t, os).isOk());
     MtfReader reader;
     ASSERT_TRUE(MtfReader::parse(os.str(), reader).isOk());
     MtfTraceSource file(std::move(reader));
-    EXPECT_FALSE(file.stableSpans());
+    std::optional<TraceSegment> decoded = file.readAt(1000, 300, buf);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->data, buf.data());
+    ASSERT_EQ(decoded->size, 300u);
+    for (size_t i = 0; i < decoded->size; ++i)
+        ASSERT_EQ(decoded->data[i].pc, t[1000 + i].pc) << i;
+    // A positioned read leaves the next() cursor alone.
+    EXPECT_EQ(file.next(10).baseUop, 0u);
 }
 
 } // namespace

@@ -70,6 +70,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <vector>
@@ -401,78 +402,130 @@ cmdSweep(int argc, char **argv)
     return 0;
 }
 
-int
-cmdCalibrate(int argc, char **argv)
-{
-    CalibrationOptions copts;
-    std::string gridName = "ci";
-    std::string jsonPath;
+/**
+ * Flags of `report accuracy` and `report calibrate`, parsed in one
+ * place. The caller seeds the defaults; parseReportFlags then accepts
+ * only the flags on @p command's synopsis in the help table.
+ */
+struct ReportFlags {
+    std::string grid;
+    bool gridExplicit = false, full = false;
+    std::string json, baseline;
+    double margin = 2.0;
+    size_t uops = 0;
+    unsigned threads = 0;
+    bool includePhased = true, fitBranch = true;
+    int rounds = 0;
+    std::vector<std::string> workloads, traces, checkGrids;
+};
 
-    std::vector<char *> rest;
+/** True when @p flag appears as a whole word in @p command's synopsis. */
+bool
+onHelpLine(std::string_view command, std::string_view flag)
+{
+    for (const cli::CommandHelp &c : cli::commandTable()) {
+        if (c.name != command)
+            continue;
+        for (size_t at = c.synopsis.find(flag);
+             at != std::string_view::npos;
+             at = c.synopsis.find(flag, at + 1)) {
+            size_t end = at + flag.size();
+            if (end == c.synopsis.size() ||
+                std::string_view(" ]\n").find(c.synopsis[end]) !=
+                    std::string_view::npos)
+                return true;
+        }
+    }
+    return false;
+}
+
+/** @return false (after printing why) on an unknown or malformed flag. */
+bool
+parseReportFlags(const char *command, int argc, char **argv,
+                 ReportFlags &f)
+{
     for (int i = 0; i < argc; ++i) {
-        auto next = [&]() -> const char * {
+        const std::string_view flag = argv[i];
+        if (flag.substr(0, 2) != "--" || !onHelpLine(command, flag)) {
+            std::fprintf(stderr, "unknown %s flag %s\n\n%s", command,
+                         argv[i], cli::detailedHelp(command).c_str());
+            return false;
+        }
+        const char *v = "";
+        if (flag != "--full" && flag != "--no-phased" &&
+            flag != "--no-branch-fit") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
+                return false;
             }
-            return argv[++i];
-        };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--grid")) {
-            if (!(v = next()))
-                return 2;
-            gridName = v;
-        } else if (!std::strcmp(argv[i], "--json")) {
-            if (!(v = next()))
-                return 2;
-            jsonPath = v;
-        } else if (!std::strcmp(argv[i], "--no-phased")) {
-            copts.includePhased = false;
-        } else if (!std::strcmp(argv[i], "--no-branch-fit")) {
-            copts.fitBranch = false;
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            if (!(v = next()))
-                return 2;
-            copts.workloads.push_back(v);
-        } else if (!std::strcmp(argv[i], "--trace")) {
-            if (!(v = next()))
-                return 2;
-            copts.traceFiles.push_back(v);
-        } else if (!std::strcmp(argv[i], "--check-grid")) {
-            if (!(v = next()))
-                return 2;
-            copts.checkGrids.push_back(v);
-        } else if (!std::strcmp(argv[i], "--rounds")) {
-            if (!(v = next()))
-                return 2;
-            copts.rounds = std::atoi(v);
-            if (copts.rounds <= 0) {
+            v = argv[++i];
+        }
+        if (flag == "--grid") {
+            f.grid = v;
+            f.gridExplicit = true;
+        } else if (flag == "--full") {
+            f.full = true;
+        } else if (flag == "--json") {
+            f.json = v;
+        } else if (flag == "--baseline") {
+            f.baseline = v;
+        } else if (flag == "--margin") {
+            f.margin = std::atof(v);
+        } else if (flag == "--uops") {
+            f.uops = std::strtoull(v, nullptr, 10);
+        } else if (flag == "--threads") {
+            f.threads = static_cast<unsigned>(std::atoi(v));
+        } else if (flag == "--no-phased") {
+            f.includePhased = false;
+        } else if (flag == "--no-branch-fit") {
+            f.fitBranch = false;
+        } else if (flag == "--rounds") {
+            f.rounds = std::atoi(v);
+            if (f.rounds <= 0) {
                 // atoi's silent 0 on a typo would skip the whole
                 // coefficient fit yet still print "fitted" values.
                 std::fprintf(stderr,
                              "--rounds requires a positive integer "
                              "(got '%s')\n", v);
-                return 2;
+                return false;
             }
-        } else {
-            rest.push_back(argv[i]);
+        } else if (flag == "--workload") {
+            f.workloads.push_back(v);
+        } else if (flag == "--trace") {
+            f.traces.push_back(v);
+        } else if (flag == "--check-grid") {
+            f.checkGrids.push_back(v);
         }
     }
-    examples::SweepFlags flags;
-    flags.uops = copts.uops;
-    if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
-                     "mipp_cli report calibrate"))
+    return true;
+}
+
+int
+cmdCalibrate(int argc, char **argv)
+{
+    CalibrationOptions copts;
+    ReportFlags f;
+    f.grid = "ci";
+    f.uops = copts.uops;
+    f.rounds = copts.rounds;
+    if (!parseReportFlags("report calibrate", argc, argv, f))
         return 2;
-    copts.uops = flags.uops;
-    copts.threads = flags.sopts.threads;
-    copts.grid = accuracyGrid(gridName);
+    copts.grid = accuracyGrid(f.grid);
+    copts.uops = f.uops;
+    copts.threads = f.threads;
+    copts.includePhased = f.includePhased;
+    copts.fitBranch = f.fitBranch;
+    copts.rounds = f.rounds;
+    copts.workloads = f.workloads;
+    copts.traceFiles = f.traces;
+    copts.checkGrids = f.checkGrids;
 
     CalibrationReport rep = runCalibration(copts);
 
     std::printf("calibration: %zu workloads x %zu design points "
                 "(%zu uops, grid '%s')\n",
                 rep.workloadNames.size(), rep.gridNames.size(), rep.uops,
-                gridName.c_str());
+                f.grid.c_str());
     if (!rep.branchFits.empty()) {
         std::printf("piecewise entropy fits "
                     "(missRate = a*E + b + a2*max(0, E - knee)):\n");
@@ -517,12 +570,12 @@ cmdCalibrate(int argc, char **argv)
         }
     }
 
-    if (!jsonPath.empty()) {
-        if (!writeCalibrationJson(rep, jsonPath)) {
-            std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
+    if (!f.json.empty()) {
+        if (!writeCalibrationJson(rep, f.json)) {
+            std::fprintf(stderr, "cannot write %s\n", f.json.c_str());
             return 1;
         }
-        std::printf("report written to %s\n", jsonPath.c_str());
+        std::printf("report written to %s\n", f.json.c_str());
     }
     return 0;
 }
@@ -602,94 +655,39 @@ cmdReport(int argc, char **argv)
     if (argc >= 1 && !std::strcmp(argv[0], "metrics"))
         return cmdReportMetrics(argc - 1, argv + 1);
     if (argc < 1 || std::strcmp(argv[0], "accuracy") != 0) {
-        std::fprintf(stderr,
-                     "usage: mipp_cli report accuracy [--grid "
-                     "ci|default|wide] [--uops N] [--threads N] [--full] "
-                     "[--no-phased] [--workload NAME]... [--json FILE] "
-                     "[--baseline FILE] [--margin PCT]\n"
-                     "       mipp_cli report calibrate [--grid "
-                     "ci|default|wide] [--uops N] [--threads N] "
-                     "[--no-phased] [--no-branch-fit] [--rounds N] "
-                     "[--workload NAME]... [--json FILE]\n"
-                     "       mipp_cli report metrics --socket PATH "
-                     "[--prometheus] [--out FILE]\n");
+        std::fputs(cli::detailedHelp("report").c_str(), stderr);
         return 2;
     }
 
     AccuracyOptions aopts;
-    std::string gridName = "default";
-    bool gridExplicit = false;
-    std::string jsonPath, baselinePath;
-    double margin = 2.0;
-
-    // Accuracy-specific flags are consumed here; everything else is
-    // handed to the shared SweepFlags parser (--uops/--threads/--full).
-    std::vector<char *> rest;
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--grid")) {
-            if (!(v = next()))
-                return 2;
-            gridName = v;
-            gridExplicit = true;
-        } else if (!std::strcmp(argv[i], "--json")) {
-            if (!(v = next()))
-                return 2;
-            jsonPath = v;
-        } else if (!std::strcmp(argv[i], "--baseline")) {
-            if (!(v = next()))
-                return 2;
-            baselinePath = v;
-        } else if (!std::strcmp(argv[i], "--margin")) {
-            if (!(v = next()))
-                return 2;
-            margin = std::atof(v);
-        } else if (!std::strcmp(argv[i], "--no-phased")) {
-            aopts.includePhased = false;
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            if (!(v = next()))
-                return 2;
-            aopts.workloads.push_back(v);
-        } else if (!std::strcmp(argv[i], "--trace")) {
-            if (!(v = next()))
-                return 2;
-            aopts.traceFiles.push_back(v);
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    examples::SweepFlags flags;
-    flags.uops = aopts.uops;
-    if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
-                     "mipp_cli report accuracy"))
+    ReportFlags f;
+    f.grid = "default";
+    f.uops = aopts.uops;
+    if (!parseReportFlags("report accuracy", argc - 1, argv + 1, f))
         return 2;
-    aopts.uops = flags.uops;
-    aopts.threads = flags.sopts.threads;
-    if (flags.full) {
-        if (gridExplicit && gridName != "wide") {
+    if (f.full) {
+        if (f.gridExplicit && f.grid != "wide") {
             std::fprintf(stderr,
                          "--full conflicts with --grid %s (it selects "
                          "the wide grid)\n",
-                         gridName.c_str());
+                         f.grid.c_str());
             return 2;
         }
-        gridName = "wide";
+        f.grid = "wide";
     }
-    aopts.grid = accuracyGrid(gridName);
+    aopts.grid = accuracyGrid(f.grid);
+    aopts.uops = f.uops;
+    aopts.threads = f.threads;
+    aopts.includePhased = f.includePhased;
+    aopts.workloads = f.workloads;
+    aopts.traceFiles = f.traces;
 
     AccuracyReport rep = runAccuracy(aopts);
 
     std::printf("accuracy: %zu workloads x %zu design points "
                 "(%zu uops, grid '%s')\n",
                 rep.workloadNames.size(), rep.gridNames.size(), rep.uops,
-                gridName.c_str());
+                f.grid.c_str());
     std::printf("%-18s %8s %8s %7s   %s\n", "workload", "simCPI",
                 "modelCPI", "err%", "mean|err|% across grid");
     const size_t nc = rep.gridNames.size();
@@ -715,12 +713,12 @@ cmdReport(int argc, char **argv)
                     k + 1 < kNumAccuracyMetrics ? " |" : "\n");
     }
 
-    if (!jsonPath.empty()) {
-        if (!writeAccuracyJson(rep, jsonPath)) {
-            std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
+    if (!f.json.empty()) {
+        if (!writeAccuracyJson(rep, f.json)) {
+            std::fprintf(stderr, "cannot write %s\n", f.json.c_str());
             return 1;
         }
-        std::printf("report written to %s\n", jsonPath.c_str());
+        std::printf("report written to %s\n", f.json.c_str());
     }
 
     int rc = 0;
@@ -732,17 +730,17 @@ cmdReport(int argc, char **argv)
             std::fprintf(stderr, "  %s\n", v.c_str());
         rc = 1;
     }
-    if (!baselinePath.empty()) {
-        auto regressions = compareToBaseline(rep, baselinePath, margin);
+    if (!f.baseline.empty()) {
+        auto regressions = compareToBaseline(rep, f.baseline, f.margin);
         if (!regressions.empty()) {
             std::fprintf(stderr, "MAPE regressions vs %s:\n",
-                         baselinePath.c_str());
+                         f.baseline.c_str());
             for (const auto &r : regressions)
                 std::fprintf(stderr, "  %s\n", r.c_str());
             rc = 1;
         } else {
             std::printf("baseline gate passed (%s, margin %.1f)\n",
-                        baselinePath.c_str(), margin);
+                        f.baseline.c_str(), f.margin);
         }
     }
     return rc;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/failpoint.hh"
+#include "util/hash.hh"
 
 namespace mipp {
 
@@ -14,19 +15,6 @@ namespace {
 
 constexpr const char *kMagic = "mipp-profile";
 constexpr int kVersion = 2;
-
-/** FNV-1a over the payload: cheap, dependency-free, and plenty to catch
- *  truncation/bit rot — this is integrity, not authentication. */
-uint64_t
-fnv1a64(const char *data, size_t n)
-{
-    uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 void
 writeHistogram(std::ostream &os, const char *tag, const LogHistogram &h)

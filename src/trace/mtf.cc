@@ -39,18 +39,6 @@ constexpr uint8_t kReservedMask = 0xc0;
 /** Largest canonical LEB128 length for a 64-bit value. */
 constexpr int kMaxVarintBytes = 10;
 
-/** The v1 checksum: FNV-1a-64 over the file up to the checksum. */
-uint64_t
-fnv1a64(const uint8_t *data, size_t n)
-{
-    uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 uint64_t
 zigzag(int64_t v)
 {

@@ -103,4 +103,16 @@ xxh64(const void *data, size_t n, uint64_t seed)
     return h;
 }
 
+uint64_t
+fnv1a64(const void *data, size_t n)
+{
+    const auto *p = static_cast<const uint8_t *>(data);
+    uint64_t h = 14695981039346656037ull;
+    for (size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 } // namespace mipp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -35,12 +36,6 @@ constexpr std::array<const char *, kNumAccuracyMetrics> kMetricNames = {
     "dram", "mrL1", "mrL2",   "mrL3",   "power",
 };
 
-size_t
-mi(AccuracyMetric m)
-{
-    return static_cast<size_t>(m);
-}
-
 std::string
 fmt(const char *f, double a, double b = 0, double c = 0)
 {
@@ -72,7 +67,7 @@ checkLevel(std::vector<std::string> &v, const char *name,
 std::string_view
 accuracyMetricName(AccuracyMetric m)
 {
-    return kMetricNames[mi(m)];
+    return kMetricNames[metricIndex(m)];
 }
 
 std::vector<CoreConfig>
@@ -232,12 +227,9 @@ checkModelConsistency(const ModelResult &m, double stackTolerance)
     return v;
 }
 
-void
-buildAccuracySuite(size_t uops, bool includePhased,
-                   const std::vector<std::string> &filter,
-                   std::vector<std::string> &names,
-                   std::vector<Trace> &traces,
-                   const std::vector<std::string> &traceFiles)
+ValidationSuite::ValidationSuite(size_t uops, bool includePhased,
+                                 const std::vector<std::string> &filter,
+                                 const std::vector<std::string> &traceFiles)
 {
     auto wants = [&](const std::string &n) {
         return filter.empty() ||
@@ -247,8 +239,8 @@ buildAccuracySuite(size_t uops, bool includePhased,
     for (const auto &s : workloadSuite()) {
         if (!wants(s.name))
             continue;
-        names.push_back(s.name);
-        traces.push_back(generateWorkload(s, uops));
+        names_.push_back(s.name);
+        traces_.push_back(generateWorkload(s, uops));
     }
     if (includePhased) {
         for (PhasedSpec p : phasedSuite()) {
@@ -261,15 +253,15 @@ buildAccuracySuite(size_t uops, bool includePhased,
                 uops / std::max<size_t>(p.segments.size(), 1), 1000);
             for (auto &seg : p.segments)
                 seg.second = segUops;
-            names.push_back(p.name);
-            traces.push_back(generatePhased(p));
+            names_.push_back(p.name);
+            traces_.push_back(generatePhased(p));
         }
     }
     // A filter entry that matched nothing is a typo (or a phased name
     // with includePhased off): an empty/partial report would otherwise
     // sail through the baseline gate with trivially low MAPEs.
     for (const auto &w : filter) {
-        if (std::find(names.begin(), names.end(), w) == names.end())
+        if (std::find(names_.begin(), names_.end(), w) == names_.end())
             throw StatusError(invalidArgument(
                 "accuracy filter matched no workload named '" + w +
                 "'"));
@@ -281,15 +273,72 @@ buildAccuracySuite(size_t uops, bool includePhased,
         Status st = loadMtfTrace(path, t);
         if (!st.isOk())
             throw StatusError(st);
-        size_t slash = path.find_last_of('/');
-        std::string base =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-        size_t dot = base.find_last_of('.');
-        if (dot != std::string::npos && dot > 0)
-            base.resize(dot);
-        names.push_back(base.empty() ? path : base);
-        traces.push_back(std::move(t));
+        std::string base = std::filesystem::path(path).stem().string();
+        names_.push_back(base.empty() ? path : base);
+        traces_.push_back(std::move(t));
     }
+
+    std::vector<ProfilerConfig> pcfgs(names_.size());
+    for (size_t i = 0; i < names_.size(); ++i)
+        pcfgs[i].name = names_[i];
+    profiles_ = profileTraces(traces_, pcfgs);
+    for (const Profile &p : profiles_)
+        ctxs_.push_back(std::make_unique<EvalContext>(p));
+}
+
+ValidationSuite::~ValidationSuite() = default;
+
+std::vector<std::optional<SimResult>>
+ValidationSuite::simulate(const std::vector<CoreConfig> &grid,
+                          unsigned threads, const CancelToken &cancel) const
+{
+    const size_t nc = grid.size();
+    std::vector<std::optional<SimResult>> sims(names_.size() * nc);
+    parallelForShared(sims.size(), threads, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            if (cancel.cancelled())
+                return;
+            MIPP_SPAN("accuracy.simulate");
+            sims[i] = mipp::simulate(traces_[i / nc], grid[i % nc]);
+        }
+    });
+    return sims;
+}
+
+std::vector<PointAccuracy>
+ValidationSuite::score(const std::vector<CoreConfig> &grid,
+                       const std::vector<std::optional<SimResult>> &sims,
+                       const ModelOptions &mopts,
+                       const std::vector<BranchMissModel> &branchFits,
+                       unsigned threads, std::vector<ModelResult> *models)
+{
+    const size_t nc = grid.size();
+    std::vector<ModelOptions> perPoint(nc, mopts);
+    for (size_t ci = 0; ci < nc; ++ci) {
+        auto kind = static_cast<size_t>(grid[ci].predictor);
+        if (kind < branchFits.size())
+            perPoint[ci].branchModel = branchFits[kind];
+    }
+    std::vector<PointAccuracy> points(sims.size());
+    if (models)
+        models->assign(sims.size(), {});
+    // One worker per workload: its EvalContext is not thread-safe.
+    parallelForShared(names_.size(), threads, [&](size_t begin, size_t end) {
+        for (size_t wi = begin; wi < end; ++wi) {
+            for (size_t ci = 0; ci < nc; ++ci) {
+                const size_t i = wi * nc + ci;
+                if (!sims[i])
+                    continue;
+                ModelResult mod =
+                    evaluateModel(*ctxs_[wi], grid[ci], perPoint[ci]);
+                points[i] = scoreAccuracyPoint(*sims[i], mod, grid[ci],
+                                               profiles_[wi], names_[wi]);
+                if (models)
+                    (*models)[i] = std::move(mod);
+            }
+        }
+    });
+    return points;
 }
 
 PointAccuracy
@@ -322,23 +371,24 @@ scoreAccuracyPoint(const SimResult &sim, const ModelResult &mod,
 
     double sc = pa.simCpi > 0 ? pa.simCpi : 1.0;
     auto &e = pa.err;
-    e[mi(AccuracyMetric::Cpi)] = 100.0 * (pa.modelCpi - pa.simCpi) / sc;
-    e[mi(AccuracyMetric::Base)] =
+    e[metricIndex(AccuracyMetric::Cpi)] =
+        100.0 * (pa.modelCpi - pa.simCpi) / sc;
+    e[metricIndex(AccuracyMetric::Base)] =
         100.0 * (pa.modelStack.base - pa.simStack.base) / sc;
-    e[mi(AccuracyMetric::Branch)] =
+    e[metricIndex(AccuracyMetric::Branch)] =
         100.0 * (pa.modelStack.branch - pa.simStack.branch) / sc;
-    e[mi(AccuracyMetric::Icache)] =
+    e[metricIndex(AccuracyMetric::Icache)] =
         100.0 * (pa.modelStack.icache - pa.simStack.icache) / sc;
-    e[mi(AccuracyMetric::L2Hit)] =
+    e[metricIndex(AccuracyMetric::L2Hit)] =
         100.0 * (pa.modelStack.l2hit - pa.simStack.l2hit) / sc;
-    e[mi(AccuracyMetric::LlcHit)] =
+    e[metricIndex(AccuracyMetric::LlcHit)] =
         100.0 * (pa.modelStack.llcHit - pa.simStack.llcHit) / sc;
-    e[mi(AccuracyMetric::Dram)] =
+    e[metricIndex(AccuracyMetric::Dram)] =
         100.0 * (pa.modelStack.dram - pa.simStack.dram) / sc;
     for (int l = 0; l < 3; ++l)
-        e[mi(AccuracyMetric::MrL1) + l] =
+        e[metricIndex(AccuracyMetric::MrL1) + l] =
             100.0 * (pa.modelMr[l] - pa.simMr[l]);
-    e[mi(AccuracyMetric::Power)] =
+    e[metricIndex(AccuracyMetric::Power)] =
         100.0 * (pa.modelWatts - pa.simWatts) /
         (pa.simWatts > 0 ? pa.simWatts : 1.0);
     return pa;
@@ -372,63 +422,38 @@ runAccuracy(const AccuracyOptions &opts)
     MIPP_SPAN("accuracy.run");
     std::vector<CoreConfig> grid =
         opts.grid.empty() ? accuracyGrid("default") : opts.grid;
+    ValidationSuite suite(opts.uops, opts.includePhased, opts.workloads,
+                          opts.traceFiles);
 
-    std::vector<std::string> names;
-    std::vector<Trace> traces;
-    buildAccuracySuite(opts.uops, opts.includePhased, opts.workloads,
-                       names, traces, opts.traceFiles);
-
-    std::vector<ProfilerConfig> pcfgs(names.size());
-    for (size_t i = 0; i < names.size(); ++i)
-        pcfgs[i].name = names[i];
-    std::vector<Profile> profiles = profileTraces(traces, pcfgs);
-
-    const size_t nw = names.size(), nc = grid.size();
     AccuracyReport rep;
     rep.uops = opts.uops;
-    rep.workloadNames = names;
+    rep.workloadNames = suite.names();
     for (const auto &c : grid)
         rep.gridNames.push_back(c.name);
-    rep.points.assign(nw * nc, {});
-    std::vector<std::vector<std::string>> viols(nw);
 
-    parallelForShared(nw, opts.threads, [&](size_t begin, size_t end) {
-        for (size_t wi = begin; wi < end; ++wi) {
-            if (opts.cancel.cancelled())
-                return;
-            MIPP_SPAN("accuracy.workload");
-            EvalContext ctx(profiles[wi]);
-            for (size_t ci = 0; ci < nc; ++ci) {
-                if (opts.cancel.cancelled())
-                    return;
-                const CoreConfig &cfg = grid[ci];
-                MIPP_SPAN("accuracy.point");
-                SimResult sim = simulate(traces[wi], cfg);
-                ModelResult mod = evaluateModel(ctx, cfg, opts.mopts);
+    auto sims = suite.simulate(grid, opts.threads, opts.cancel);
+    std::vector<ModelResult> models;
+    rep.points = suite.score(grid, sims, opts.mopts, {}, opts.threads,
+                             &models);
 
-                rep.points[wi * nc + ci] = scoreAccuracyPoint(
-                    sim, mod, cfg, profiles[wi], names[wi]);
-
-                for (const auto &s :
-                     checkSimConsistency(sim, opts.stackTolerance))
-                    viols[wi].push_back(names[wi] + "/" + cfg.name +
-                                        ": sim: " + s);
-                for (const auto &s :
-                     checkModelConsistency(mod, opts.stackTolerance))
-                    viols[wi].push_back(names[wi] + "/" + cfg.name +
-                                        ": model: " + s);
-            }
-        }
-    });
-
-    for (auto &v : viols)
-        rep.violations.insert(rep.violations.end(), v.begin(), v.end());
+    for (size_t i = 0; i < sims.size(); ++i) {
+        if (!sims[i])
+            continue;
+        const std::string where =
+            rep.points[i].workload + "/" + rep.points[i].config;
+        for (const auto &s : checkSimConsistency(*sims[i],
+                                                 opts.stackTolerance))
+            rep.violations.push_back(where + ": sim: " + s);
+        for (const auto &s : checkModelConsistency(models[i],
+                                                   opts.stackTolerance))
+            rep.violations.push_back(where + ": model: " + s);
+    }
 
     if (opts.cancel.cancelled()) {
-        // Degraded partial report: keep only the comparisons that
-        // finished (an unfilled slot still has its default-constructed
-        // empty workload name), so the summaries below aggregate real
-        // points only.
+        // Degraded partial report: keep only the comparisons whose
+        // simulation finished (an unsimulated slot still has its
+        // default-constructed empty workload name), so the summaries
+        // below aggregate real points only.
         rep.degraded = true;
         std::erase_if(rep.points, [](const PointAccuracy &pt) {
             return pt.workload.empty();

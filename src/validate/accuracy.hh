@@ -48,6 +48,8 @@
 #include <array>
 #include <iosfwd>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,8 @@
 #include "util/json.hh"
 
 namespace mipp {
+
+class EvalContext;
 
 /** Metrics the accuracy report tracks, one error column each. */
 enum class AccuracyMetric : uint8_t {
@@ -78,6 +82,13 @@ enum class AccuracyMetric : uint8_t {
 
 constexpr size_t kNumAccuracyMetrics =
     static_cast<size_t>(AccuracyMetric::NumMetrics);
+
+/** Column of @p m in every per-metric array. */
+constexpr size_t
+metricIndex(AccuracyMetric m)
+{
+    return static_cast<size_t>(m);
+}
 
 /** Stable metric names used in reports, JSON and the golden baseline. */
 std::string_view accuracyMetricName(AccuracyMetric m);
@@ -103,10 +114,10 @@ struct AccuracyOptions {
     /** |CpiStack::total() - cycles| tolerance, fraction of cycles. */
     double stackTolerance = 0.01;
     /**
-     * Cooperative deadline/cancellation, checked per (workload, config)
-     * pair. On expiry the harness keeps every finished comparison,
-     * drops the rest and returns a report flagged degraded; summaries
-     * aggregate the evaluated subset only.
+     * Cooperative deadline/cancellation, checked before each (workload,
+     * config) simulation. On expiry the harness keeps every pair whose
+     * simulation finished, drops the rest and returns a report flagged
+     * degraded; summaries aggregate the evaluated subset only.
      */
     CancelToken cancel;
 };
@@ -154,7 +165,7 @@ struct AccuracyReport {
     const MetricSummary &
     of(AccuracyMetric m) const
     {
-        return summary[static_cast<size_t>(m)];
+        return summary[metricIndex(m)];
     }
 };
 
@@ -173,23 +184,60 @@ std::vector<CoreConfig> accuracyGrid(const std::string &preset);
 AccuracyReport runAccuracy(const AccuracyOptions &opts = {});
 
 /**
- * Shared harness plumbing (used by runAccuracy and the calibration
- * harness in validate/calibrate.hh):
+ * The workloads both harnesses (runAccuracy, runCalibration) measure,
+ * built and profiled once, with one memoized EvalContext per workload.
  *
- * buildAccuracySuite generates the suite (+ phased) traces at @p uops,
+ * The constructor generates the suite (+ phased) traces at @p uops,
  * honoring a name filter, then appends each @p traceFiles `.mtf` as an
- * extra workload named by its basename; throws
+ * extra workload named by its basename; it throws
  * StatusError(InvalidArgument) for filter entries matching nothing and
  * rethrows the structured Status of an unreadable/corrupt trace file.
- * scoreAccuracyPoint fills one PointAccuracy
- * (errors included) from a finished sim/model pair. summarizeAccuracy
- * aggregates the per-point error columns into per-metric summaries.
+ *
+ * simulate() and score() are the harnesses' one simulator call and one
+ * model-evaluation loop. Results are workload-major,
+ * [wi * grid.size() + ci]; @p threads is as in parallelForShared.
+ * score() warms the suite's EvalContexts: one caller at a time.
  */
-void buildAccuracySuite(size_t uops, bool includePhased,
-                        const std::vector<std::string> &filter,
-                        std::vector<std::string> &names,
-                        std::vector<Trace> &traces,
-                        const std::vector<std::string> &traceFiles = {});
+class ValidationSuite
+{
+  public:
+    ValidationSuite(size_t uops, bool includePhased,
+                    const std::vector<std::string> &filter,
+                    const std::vector<std::string> &traceFiles = {});
+    ~ValidationSuite();
+
+    const std::vector<std::string> &names() const { return names_; }
+    const std::vector<Profile> &profiles() const { return profiles_; }
+
+    /** Simulate every (workload, @p grid point) pair. @p cancel is
+     *  checked before each simulation; a skipped pair stays nullopt. */
+    std::vector<std::optional<SimResult>>
+    simulate(const std::vector<CoreConfig> &grid, unsigned threads,
+             const CancelToken &cancel = {}) const;
+
+    /**
+     * Evaluate the model under @p mopts at every simulated pair of
+     * @p sims (simulate() over the same @p grid) and score it; an
+     * unsimulated pair stays default (empty workload name). A non-empty
+     * @p branchFits, indexed by BranchPredictorKind, replaces
+     * mopts.branchModel. @p models, if given, receives each ModelResult.
+     */
+    std::vector<PointAccuracy>
+    score(const std::vector<CoreConfig> &grid,
+          const std::vector<std::optional<SimResult>> &sims,
+          const ModelOptions &mopts,
+          const std::vector<BranchMissModel> &branchFits, unsigned threads,
+          std::vector<ModelResult> *models = nullptr);
+
+  private:
+    std::vector<std::string> names_;
+    std::vector<Trace> traces_;
+    std::vector<Profile> profiles_;
+    std::vector<std::unique_ptr<EvalContext>> ctxs_;
+};
+
+/** scoreAccuracyPoint fills one PointAccuracy (errors included) from a
+ *  finished sim/model pair; summarizeAccuracy aggregates its columns. */
 PointAccuracy scoreAccuracyPoint(const SimResult &sim,
                                  const ModelResult &mod,
                                  const CoreConfig &cfg,

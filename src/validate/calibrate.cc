@@ -3,97 +3,36 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "model/eval_cache.hh"
 #include "obs/trace.hh"
-#include "profiler/profiler.hh"
-#include "util/thread_pool.hh"
-#include "workloads/workload.hh"
 
 namespace mipp {
 
 namespace {
 
-size_t
-mi(AccuracyMetric m)
-{
-    return static_cast<size_t>(m);
-}
-
 /** 17 significant digits make loadCalibrationJson a lossless inverse
  *  (the round-trip test relies on it). */
 constexpr int kDigits = 17;
-
-std::string
-num(double v)
-{
-    return json::number(v, kDigits);
-}
 
 constexpr size_t kNumKinds =
     static_cast<size_t>(BranchPredictorKind::NumKinds);
 
 /**
- * Shared fitting state: the profiles, the per-point simulator ground
- * truth (simulated once), and one memoized EvalContext per workload
- * that persists across the whole coordinate descent — every calibration
- * value the search revisits is a cache hit.
+ * Fitting state: the ground truth over the fitting grid (simulated
+ * once) and the options and branch fits the model is scored with. The
+ * suite's EvalContexts persist across the whole coordinate descent, so
+ * every calibration value the search revisits is a cache hit.
  */
 struct FitState {
-    const CalibrationOptions &opts;
+    ValidationSuite &suite;
+    unsigned threads;
     std::vector<CoreConfig> grid;
-    std::vector<std::string> names;
-    std::vector<Trace> traces;
-    std::vector<Profile> profiles;
-    std::vector<SimResult> sims; ///< workload-major [wi * nc + ci]
-    std::vector<std::unique_ptr<EvalContext>> ctxs;
-    /** Piecewise fits indexed by predictor kind (empty = use pretrained). */
-    std::array<const BranchMissModel *, kNumKinds> fits{};
-
-    size_t nw() const { return names.size(); }
-    size_t nc() const { return grid.size(); }
-
-    /** Simulate every (workload, grid point) pair into sims. */
-    void
-    simulateGrid()
-    {
-        sims.assign(nw() * nc(), {});
-        parallelForShared(nw(), opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi)
-                for (size_t ci = 0; ci < nc(); ++ci)
-                    sims[wi * nc() + ci] = simulate(traces[wi], grid[ci]);
-        });
-    }
-
-    /** Evaluate the model at @p cal for every point. */
-    std::vector<PointAccuracy>
-    evaluate(const ModelCalibration &cal)
-    {
-        std::vector<PointAccuracy> points(nw() * nc());
-        parallelForShared(nw(), opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi) {
-                for (size_t ci = 0; ci < nc(); ++ci) {
-                    const CoreConfig &cfg = grid[ci];
-                    ModelOptions mo = opts.mopts;
-                    mo.cal = cal;
-                    size_t kind = static_cast<size_t>(cfg.predictor);
-                    if (kind < kNumKinds && fits[kind])
-                        mo.branchModel = *fits[kind];
-                    ModelResult mod =
-                        evaluateModel(*ctxs[wi], cfg, mo);
-                    points[wi * nc() + ci] = scoreAccuracyPoint(
-                        sims[wi * nc() + ci], mod, cfg, profiles[wi],
-                        names[wi]);
-                }
-            }
-        });
-        return points;
-    }
+    std::vector<std::optional<SimResult>> sims;
+    ModelOptions mo; ///< objective() scores at mo with mo.cal varied
+    /** Piecewise fits indexed by predictor kind (empty = incoming). */
+    std::vector<BranchMissModel> fits;
 
     /**
      * Objective for one component: that component's summed |error| over
@@ -106,11 +45,12 @@ struct FitState {
     double
     objective(const ModelCalibration &cal, AccuracyMetric metric)
     {
-        std::vector<PointAccuracy> points = evaluate(cal);
+        mo.cal = cal;
         double mae = 0, maeCpi = 0, sse = 0;
-        for (const PointAccuracy &pa : points) {
-            double e = pa.err[mi(metric)];
-            double ec = pa.err[mi(AccuracyMetric::Cpi)];
+        for (const PointAccuracy &pa :
+             suite.score(grid, sims, mo, fits, threads)) {
+            double e = pa.err[metricIndex(metric)];
+            double ec = pa.err[metricIndex(AccuracyMetric::Cpi)];
             mae += std::abs(e);
             maeCpi += std::abs(ec);
             sse += e * e;
@@ -179,48 +119,35 @@ CalibrationReport
 runCalibration(const CalibrationOptions &opts)
 {
     MIPP_SPAN("calibrate.run");
-    FitState st{opts};
-    st.grid = opts.grid.empty() ? accuracyGrid("ci") : opts.grid;
-    buildAccuracySuite(opts.uops, opts.includePhased, opts.workloads,
-                       st.names, st.traces, opts.traceFiles);
-
-    std::vector<ProfilerConfig> pcfgs(st.names.size());
-    for (size_t i = 0; i < st.names.size(); ++i)
-        pcfgs[i].name = st.names[i];
-    st.profiles = profileTraces(st.traces, pcfgs);
-    for (const Profile &p : st.profiles)
-        st.ctxs.push_back(std::make_unique<EvalContext>(p));
+    ValidationSuite suite(opts.uops, opts.includePhased, opts.workloads,
+                          opts.traceFiles);
+    FitState st{suite, opts.threads,
+                opts.grid.empty() ? accuracyGrid("ci") : opts.grid, {},
+                opts.mopts, {}};
 
     CalibrationReport rep;
     rep.uops = opts.uops;
-    rep.workloadNames = st.names;
+    rep.workloadNames = suite.names();
     for (const auto &c : st.grid)
         rep.gridNames.push_back(c.name);
-
-    const size_t nw = st.nw();
 
     // --- Stage 1: piecewise entropy fits against simulated predictors ---
     if (opts.fitBranch) {
         MIPP_SPAN("calibrate.branch_fit");
-        std::vector<EntropyObservation> obs(nw * kNumKinds);
-        parallelForShared(nw * kNumKinds, opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                size_t wi = i / kNumKinds;
-                auto kind =
-                    static_cast<BranchPredictorKind>(i % kNumKinds);
-                CoreConfig cfg = CoreConfig::nehalemReference();
-                cfg.predictor = kind;
-                SimResult sim = simulate(st.traces[wi], cfg);
-                EntropyObservation &o = obs[i];
-                o.kind = kind;
-                o.workload = st.names[wi];
-                o.entropy = st.profiles[wi].branch.entropy();
-                o.simMissRate = sim.branches ?
-                    double(sim.branchMispredicts) / sim.branches : 0;
-            }
-        });
-        rep.branchPoints = std::move(obs);
+        std::vector<CoreConfig> predictors(kNumKinds,
+                                           CoreConfig::nehalemReference());
+        for (size_t k = 0; k < kNumKinds; ++k)
+            predictors[k].predictor = static_cast<BranchPredictorKind>(k);
+        auto sims = suite.simulate(predictors, opts.threads);
+        for (size_t i = 0; i < sims.size(); ++i) {
+            const size_t wi = i / kNumKinds;
+            const SimResult &sim = *sims[i];
+            rep.branchPoints.push_back(
+                {predictors[i % kNumKinds].predictor, suite.names()[wi],
+                 suite.profiles()[wi].branch.entropy(),
+                 sim.branches ? double(sim.branchMispredicts) / sim.branches
+                              : 0});
+        }
 
         for (size_t k = 0; k < kNumKinds; ++k) {
             auto kind = static_cast<BranchPredictorKind>(k);
@@ -232,25 +159,19 @@ runCalibration(const CalibrationOptions &opts)
             rep.branchFits.push_back(fit);
             rep.branchR2.push_back(trainer.r2(fit));
         }
-        for (size_t k = 0; k < kNumKinds; ++k)
-            st.fits[k] = &rep.branchFits[k];
     }
 
     // --- Stage 2: simulator ground truth over the grid -------------------
     {
         MIPP_SPAN("calibrate.sim_grid");
-        st.simulateGrid();
+        st.sims = suite.simulate(st.grid, opts.threads);
     }
-
     // "Before": the incoming calibration, incoming branch fits.
-    {
-        std::array<const BranchMissModel *, kNumKinds> saved = st.fits;
-        st.fits = {};
-        rep.before = summarizeAccuracy(st.evaluate(opts.mopts.cal));
-        st.fits = saved;
-    }
+    rep.before = summarizeAccuracy(
+        suite.score(st.grid, st.sims, opts.mopts, {}, opts.threads));
 
     // --- Stage 3: coordinate descent over the scalar coefficients --------
+    st.fits = rep.branchFits;
     ModelCalibration cal = opts.mopts.cal;
     if (opts.fitCoefficients) {
         MIPP_SPAN("calibrate.coefficient_fit");
@@ -262,20 +183,20 @@ runCalibration(const CalibrationOptions &opts)
                 break; // converged early
         }
     }
-    rep.cal = cal;
-    rep.after = summarizeAccuracy(st.evaluate(cal));
+    rep.cal = st.mo.cal = cal;
+    rep.after = summarizeAccuracy(
+        suite.score(st.grid, st.sims, st.mo, st.fits, opts.threads));
 
     // --- Stage 4: cross-check the fit on other grid presets --------------
     // Fresh ground truth per preset, same fitted coefficients and branch
     // fits, no refit: a fit that only works on its own grid shows up
     // here as a summary far off the "after" column.
     for (const std::string &preset : opts.checkGrids) {
-        st.grid = accuracyGrid(preset);
-        st.simulateGrid();
-        CalibrationReport::GridCheck gc;
-        gc.grid = preset;
-        gc.summary = summarizeAccuracy(st.evaluate(cal));
-        rep.gridChecks.push_back(std::move(gc));
+        std::vector<CoreConfig> grid = accuracyGrid(preset);
+        rep.gridChecks.push_back(
+            {preset, summarizeAccuracy(suite.score(
+                         grid, suite.simulate(grid, opts.threads), st.mo,
+                         st.fits, opts.threads))});
     }
     return rep;
 }
@@ -286,22 +207,23 @@ calibrationJson(const CalibrationReport &r)
     std::ostringstream os;
     writeReportHeader(os, "mipp-calibration-v1", r.uops, r.gridNames,
                       r.workloadNames);
-    os << "  \"calibration\": {"
-       << "\"penaltyScale\": " << num(r.cal.penaltyScale)
-       << ", \"baseWindowFrac\": " << num(r.cal.baseWindowFrac)
-       << ", \"mlpWindowFrac\": " << num(r.cal.mlpWindowFrac)
-       << ", \"shadowScale\": " << num(r.cal.shadowScale)
-       << ", \"busQueueScale\": " << num(r.cal.busQueueScale)
-       << ", \"coldInject\": " << num(r.cal.coldInject) << "},\n";
+    os << "  \"calibration\": {";
+    for (const CoefficientSpec &spec : kCoefficients)
+        os << (&spec == kCoefficients ? "" : ", ") << '"' << spec.name
+           << "\": " << json::number(r.cal.*(spec.field), kDigits);
+    os << "},\n";
     os << "  \"branchFits\": [";
     for (size_t i = 0; i < r.branchFits.size(); ++i) {
         const BranchMissModel &m = r.branchFits[i];
         os << (i ? "," : "") << "\n    {\"kind\": "
            << json::quote(branchPredictorName(m.kind)) << ", \"slope\": "
-           << num(m.slope) << ", \"intercept\": " << num(m.intercept)
-           << ", \"knee\": " << num(m.knee) << ", \"kneeSlope\": "
-           << num(m.kneeSlope) << ", \"r2\": "
-           << num(i < r.branchR2.size() ? r.branchR2[i] : 0) << "}";
+           << json::number(m.slope, kDigits) << ", \"intercept\": "
+           << json::number(m.intercept, kDigits) << ", \"knee\": "
+           << json::number(m.knee, kDigits) << ", \"kneeSlope\": "
+           << json::number(m.kneeSlope, kDigits) << ", \"r2\": "
+           << json::number(i < r.branchR2.size() ? r.branchR2[i] : 0,
+                           kDigits)
+           << "}";
     }
     os << (r.branchFits.empty() ? "" : "\n  ") << "],\n";
     os << "  \"branchPoints\": [";
@@ -310,8 +232,8 @@ calibrationJson(const CalibrationReport &r)
         os << (i ? "," : "") << "\n    {\"kind\": "
            << json::quote(branchPredictorName(o.kind)) << ", \"workload\": "
            << json::quote(o.workload) << ", \"entropy\": "
-           << num(o.entropy) << ", \"missRate\": "
-           << num(o.simMissRate) << "}";
+           << json::number(o.entropy, kDigits) << ", \"missRate\": "
+           << json::number(o.simMissRate, kDigits) << "}";
     }
     os << (r.branchPoints.empty() ? "" : "\n  ") << "],\n";
     auto emitSummary = [&](const char *name, const auto &summary,
@@ -361,12 +283,10 @@ loadCalibrationJson(const std::string &path)
     const json::Value &cal = doc["calibration"];
     if (!cal.isObject())
         throw std::runtime_error(path + " has no calibration section");
-    r.cal.penaltyScale = reportNumber(cal, "penaltyScale", 1.0);
-    r.cal.baseWindowFrac = reportNumber(cal, "baseWindowFrac", 0.0);
-    r.cal.mlpWindowFrac = reportNumber(cal, "mlpWindowFrac", 0.0);
-    r.cal.shadowScale = reportNumber(cal, "shadowScale", 1.0);
-    r.cal.busQueueScale = reportNumber(cal, "busQueueScale", 1.0);
-    r.cal.coldInject = reportNumber(cal, "coldInject", 0.0);
+    // An absent coefficient reads as uncalibrated (the default).
+    for (const CoefficientSpec &spec : kCoefficients)
+        r.cal.*(spec.field) =
+            reportNumber(cal, spec.name, r.cal.*(spec.field));
 
     for (const json::Value &f : doc["branchFits"].array()) {
         if (!f.isObject())

@@ -11,18 +11,20 @@
  *
  *  1. The piecewise entropy -> miss-rate fit (thesis §3.5 recalibration):
  *     every suite workload is simulated once per predictor organization
- *     at the reference core, and the (profiled entropy, simulated miss
- *     rate) pairs are fit with the hinge least squares of
+ *     at the reference core (one ValidationSuite::simulate over that
+ *     core with each BranchPredictorKind), and the (profiled entropy,
+ *     simulated miss rate) pairs are fit with the hinge least squares of
  *     EntropyFitTrainer::fitPiecewise.
  *
- *  2. The ModelCalibration scalar coefficients: per-(workload, config)
- *     signed component errors are computed over a design-point grid, and
- *     each coefficient is fit by coordinate descent — a bracketed 1-D
- *     least-squares line search on the squared error of the component
- *     the coefficient's mechanism feeds (branch for penaltyScale, base
- *     for baseWindowFrac, DRAM for the window/shadow/bus/cold set),
- *     plus a total-CPI tiebreaker — iterated until the coefficients
- *     stop moving.
+ *  2. The ModelCalibration scalar coefficients: the design-point grid
+ *     is simulated once (ValidationSuite::simulate), every candidate is
+ *     scored against that ground truth by ValidationSuite::score (the
+ *     accuracy harness's own scoring, so "before" equals runAccuracy on
+ *     the grid), and each coefficient is fit by coordinate descent — a
+ *     bracketed grid line search on the error of the component the
+ *     coefficient's mechanism feeds (branch for penaltyScale, base for
+ *     baseWindowFrac, DRAM for the window/shadow/bus/cold set), plus a
+ *     total-CPI term — iterated until the coefficients stop moving.
  *
  * The result is a CalibrationReport: the fitted coefficients, the
  * per-component error summaries before and after applying them, and the
@@ -114,12 +116,12 @@ struct CalibrationReport {
     const MetricSummary &
     beforeOf(AccuracyMetric m) const
     {
-        return before[static_cast<size_t>(m)];
+        return before[metricIndex(m)];
     }
     const MetricSummary &
     afterOf(AccuracyMetric m) const
     {
-        return after[static_cast<size_t>(m)];
+        return after[metricIndex(m)];
     }
 };
 

@@ -3,18 +3,22 @@
  * Recalibration-layer tests: golden values for the piecewise branch
  * entropy fit and the DRAM contention corrections, the behavioural
  * properties each correction promises, the calibration harness
- * end-to-end, and the CalibrationReport JSON round-trip.
+ * end-to-end, the CalibrationReport JSON round-trip, and the one
+ * ValidationSuite both harnesses simulate and score through.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "model/eval_cache.hh"
 #include "model/interval_model.hh"
 #include "profiler/profiler.hh"
+#include "trace/mtf.hh"
+#include "util/status.hh"
 #include "validate/calibrate.hh"
 #include "workloads/workload.hh"
 
@@ -350,6 +354,135 @@ TEST(CalibrationHarness, SmallRunFitsAndImproves)
     std::remove(path.c_str());
     EXPECT_EQ(got.cal, rep.cal);
     EXPECT_EQ(got.branchFits.size(), rep.branchFits.size());
+}
+
+// --- One validation suite under both harnesses ------------------------------
+
+/** The small shared setup: three contrasting workloads, short traces. */
+template <class Options>
+Options
+smallSuite(Options o)
+{
+    o.uops = 4000;
+    o.includePhased = false;
+    o.workloads = {"loopy_small", "stream_add", "branchy"};
+    return o;
+}
+
+void
+expectBitwiseEqual(const std::array<MetricSummary, kNumAccuracyMetrics> &a,
+                   const std::array<MetricSummary, kNumAccuracyMetrics> &b)
+{
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
+        EXPECT_EQ(std::memcmp(&a[k], &b[k], sizeof(MetricSummary)), 0)
+            << accuracyMetricName(static_cast<AccuracyMetric>(k));
+}
+
+TEST(AccuracySuite, CalibrationBeforeColumnIsTheAccuracyRun)
+{
+    AccuracyOptions ao = smallSuite(AccuracyOptions{});
+    ao.grid = accuracyGrid("ci");
+    const AccuracyReport acc = runAccuracy(ao);
+    for (bool fitBranch : {false, true}) {
+        SCOPED_TRACE(fitBranch);
+        CalibrationOptions co = smallSuite(CalibrationOptions{});
+        co.grid = ao.grid;
+        co.rounds = 1;
+        co.fitBranch = fitBranch;
+        expectBitwiseEqual(runCalibration(co).before, acc.summary);
+    }
+}
+
+TEST(AccuracySuite, GridCheckIsTheAccuracyRunAtTheFittedCalibration)
+{
+    CalibrationOptions co = smallSuite(CalibrationOptions{});
+    co.rounds = 1;
+    co.fitBranch = false;
+    co.checkGrids = {"default"};
+    const CalibrationReport rep = runCalibration(co);
+    ASSERT_EQ(rep.gridChecks.size(), 1u);
+
+    AccuracyOptions ao = smallSuite(AccuracyOptions{});
+    ao.grid = accuracyGrid("default");
+    ao.mopts.cal = rep.cal;
+    expectBitwiseEqual(rep.gridChecks[0].summary, runAccuracy(ao).summary);
+}
+
+TEST(AccuracySuite, CancelledSimulationsStayUnscored)
+{
+    ValidationSuite suite(4000, false, {"branchy", "stream_add"});
+    const std::vector<CoreConfig> grid = accuracyGrid("ci");
+    CancelToken cancelled = CancelToken::manual();
+    cancelled.cancel();
+    auto none = suite.simulate(grid, 1, cancelled);
+    ASSERT_EQ(none.size(), 4u);
+    for (const auto &sim : none)
+        EXPECT_FALSE(sim.has_value());
+    for (const PointAccuracy &pa : suite.score(grid, none, {}, {}, 1))
+        EXPECT_TRUE(pa.workload.empty());
+
+    // A pre-cancelled run keeps no pair: degraded, nothing aggregated.
+    AccuracyOptions ao = smallSuite(AccuracyOptions{});
+    ao.grid = grid;
+    ao.cancel = cancelled;
+    const AccuracyReport rep = runAccuracy(ao);
+    EXPECT_TRUE(rep.degraded);
+    EXPECT_TRUE(rep.points.empty());
+    EXPECT_TRUE(rep.violations.empty());
+    EXPECT_EQ(rep.of(AccuracyMetric::Cpi).mape, 0.0);
+}
+
+TEST(AccuracySuite, ScoreIsWorkloadMajorAndAppliesBranchFitsByKind)
+{
+    ValidationSuite suite(4000, false, {"branchy", "stream_add"});
+    ASSERT_EQ(suite.names(),
+              (std::vector<std::string>{"stream_add", "branchy"}));
+    const std::vector<CoreConfig> grid = accuracyGrid("ci");
+    auto sims = suite.simulate(grid, 0);
+    std::vector<ModelResult> models;
+    auto base = suite.score(grid, sims, {}, {}, 0, &models);
+    ASSERT_EQ(base.size(), 4u);
+    ASSERT_EQ(models.size(), 4u);
+    for (size_t i = 0; i < base.size(); ++i) {
+        EXPECT_EQ(base[i].workload, suite.names()[i / grid.size()]);
+        EXPECT_EQ(base[i].config, grid[i % grid.size()].name);
+        EXPECT_EQ(base[i].modelCpi, models[i].cpiPerUop());
+        EXPECT_EQ(base[i].simCpi, sims[i]->cpiPerUop());
+    }
+
+    // A fit per kind whose miss rate is far off the pretrained one moves
+    // the branch component of the branchy workload.
+    std::vector<BranchMissModel> fits;
+    for (size_t k = 0; k < size_t(BranchPredictorKind::NumKinds); ++k) {
+        fits.push_back(
+            BranchMissModel::pretrained(static_cast<BranchPredictorKind>(k)));
+        fits.back().intercept += 0.2;
+    }
+    auto fitted = suite.score(grid, sims, {}, fits, 0);
+    const size_t branchy = grid.size(); // workload 1, reference core
+    const auto branch = metricIndex(AccuracyMetric::Branch);
+    EXPECT_GT(fitted[branchy].err[branch], base[branchy].err[branch]);
+}
+
+TEST(AccuracySuite, TraceFilesJoinTheSuiteNamedByBasename)
+{
+    // A recorded copy of a suite workload rides along under its file
+    // stem and simulates exactly like the generated original.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "mipp_suite_rec.v3.mtf")
+            .string();
+    ASSERT_TRUE(
+        saveMtf(generateWorkload(suiteWorkload("branchy"), 4000), path)
+            .isOk());
+    ValidationSuite suite(4000, false, {"branchy"}, {path});
+    std::remove(path.c_str());
+    ASSERT_EQ(suite.names(),
+              (std::vector<std::string>{"branchy", "mipp_suite_rec.v3"}));
+    auto sims = suite.simulate({CoreConfig::nehalemReference()}, 1);
+    EXPECT_EQ(sims[0]->cycles, sims[1]->cycles);
+
+    EXPECT_THROW(ValidationSuite(4000, false, {"branchy"}, {path}),
+                 StatusError);
 }
 
 } // namespace

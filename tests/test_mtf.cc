@@ -275,6 +275,9 @@ TEST(MtfFormat, BlockHashIsXxh64)
     EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ull);
     const char *text = "Nobody inspects the spammish repetition";
     EXPECT_EQ(xxh64(text, std::strlen(text)), 0xFBCEA83C8A378BF1ull);
+    // FNV-1a-64 (the v1 and profile-file checksum) reference values.
+    EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
 }
 
 TEST(MtfFormat, WriterCutsFixedBlocksAndIndexesThem)

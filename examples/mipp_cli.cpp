@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "cli/cli_help.hh"
+#include "cli/report_flags.hh"
 #include "dse/explorer.hh"
 #include "model/interval_model.hh"
 #include "obs/trace.hh"
@@ -402,114 +403,19 @@ cmdSweep(int argc, char **argv)
     return 0;
 }
 
-/**
- * Flags of `report accuracy` and `report calibrate`, parsed in one
- * place. The caller seeds the defaults; parseReportFlags then accepts
- * only the flags on @p command's synopsis in the help table.
- */
-struct ReportFlags {
-    std::string grid;
-    bool gridExplicit = false, full = false;
-    std::string json, baseline;
-    double margin = 2.0;
-    size_t uops = 0;
-    unsigned threads = 0;
-    bool includePhased = true, fitBranch = true;
-    int rounds = 0;
-    std::vector<std::string> workloads, traces, checkGrids;
-};
-
-/** True when @p flag appears as a whole word in @p command's synopsis. */
-bool
-onHelpLine(std::string_view command, std::string_view flag)
-{
-    for (const cli::CommandHelp &c : cli::commandTable()) {
-        if (c.name != command)
-            continue;
-        for (size_t at = c.synopsis.find(flag);
-             at != std::string_view::npos;
-             at = c.synopsis.find(flag, at + 1)) {
-            size_t end = at + flag.size();
-            if (end == c.synopsis.size() ||
-                std::string_view(" ]\n").find(c.synopsis[end]) !=
-                    std::string_view::npos)
-                return true;
-        }
-    }
-    return false;
-}
-
-/** @return false (after printing why) on an unknown or malformed flag. */
-bool
-parseReportFlags(const char *command, int argc, char **argv,
-                 ReportFlags &f)
-{
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view flag = argv[i];
-        if (flag.substr(0, 2) != "--" || !onHelpLine(command, flag)) {
-            std::fprintf(stderr, "unknown %s flag %s\n\n%s", command,
-                         argv[i], cli::detailedHelp(command).c_str());
-            return false;
-        }
-        const char *v = "";
-        if (flag != "--full" && flag != "--no-phased" &&
-            flag != "--no-branch-fit") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return false;
-            }
-            v = argv[++i];
-        }
-        if (flag == "--grid") {
-            f.grid = v;
-            f.gridExplicit = true;
-        } else if (flag == "--full") {
-            f.full = true;
-        } else if (flag == "--json") {
-            f.json = v;
-        } else if (flag == "--baseline") {
-            f.baseline = v;
-        } else if (flag == "--margin") {
-            f.margin = std::atof(v);
-        } else if (flag == "--uops") {
-            f.uops = std::strtoull(v, nullptr, 10);
-        } else if (flag == "--threads") {
-            f.threads = static_cast<unsigned>(std::atoi(v));
-        } else if (flag == "--no-phased") {
-            f.includePhased = false;
-        } else if (flag == "--no-branch-fit") {
-            f.fitBranch = false;
-        } else if (flag == "--rounds") {
-            f.rounds = std::atoi(v);
-            if (f.rounds <= 0) {
-                // atoi's silent 0 on a typo would skip the whole
-                // coefficient fit yet still print "fitted" values.
-                std::fprintf(stderr,
-                             "--rounds requires a positive integer "
-                             "(got '%s')\n", v);
-                return false;
-            }
-        } else if (flag == "--workload") {
-            f.workloads.push_back(v);
-        } else if (flag == "--trace") {
-            f.traces.push_back(v);
-        } else if (flag == "--check-grid") {
-            f.checkGrids.push_back(v);
-        }
-    }
-    return true;
-}
-
 int
 cmdCalibrate(int argc, char **argv)
 {
     CalibrationOptions copts;
-    ReportFlags f;
+    cli::ReportFlags f;
     f.grid = "ci";
     f.uops = copts.uops;
     f.rounds = copts.rounds;
-    if (!parseReportFlags("report calibrate", argc, argv, f))
+    if (Status s = cli::parseReportFlags("report calibrate", argc, argv, f);
+        !s) {
+        std::fputs(s.message().c_str(), stderr);
         return 2;
+    }
     copts.grid = accuracyGrid(f.grid);
     copts.uops = f.uops;
     copts.threads = f.threads;
@@ -660,11 +566,15 @@ cmdReport(int argc, char **argv)
     }
 
     AccuracyOptions aopts;
-    ReportFlags f;
+    cli::ReportFlags f;
     f.grid = "default";
     f.uops = aopts.uops;
-    if (!parseReportFlags("report accuracy", argc - 1, argv + 1, f))
+    if (Status s =
+            cli::parseReportFlags("report accuracy", argc - 1, argv + 1, f);
+        !s) {
+        std::fputs(s.message().c_str(), stderr);
         return 2;
+    }
     if (f.full) {
         if (f.gridExplicit && f.grid != "wide") {
             std::fprintf(stderr,

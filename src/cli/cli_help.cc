@@ -98,7 +98,9 @@ const std::vector<CommandHelp> kCommands = {
         "grid; report per-component MAPE and enforce internal\n"
         "consistency. --trace adds recorded .mtf traces as extra\n"
         "validation workloads. --baseline gates against a golden JSON\n"
-        "report (exit 1 beyond --margin percentage points, default 2).",
+        "report (exit 1 beyond --margin percentage points, default 2).\n"
+        "--uops takes 100..10000000, --threads at least 1 and --margin\n"
+        "a finite number >= 0; any other value exits 2.",
     },
     {
         "report calibrate",
@@ -112,7 +114,8 @@ const std::vector<CommandHelp> kCommands = {
         "ground truth; print before/after per-component MAPEs. --trace\n"
         "adds recorded .mtf traces to the fitting set; --check-grid\n"
         "cross-checks fitted coefficients on another grid without\n"
-        "refitting.",
+        "refitting. --uops takes 100..10000000, --threads and --rounds\n"
+        "at least 1; any other value exits 2.",
     },
     {
         "report metrics",

@@ -950,7 +950,7 @@ struct Server::Impl {
         AccuracyOptions aopts;
         aopts.grid = accuracyGrid(doc.stringOr("grid", "ci"));
         double uops = doc.numberOr("uops", 2000);
-        if (!(uops >= 100 && uops <= 1e7))
+        if (!(uops >= kRequestMinUops && uops <= kRequestMaxUops))
             return invalidArgument(
                 "accuracy: uops out of range [100, 1e7]");
         aopts.uops = static_cast<size_t>(uops);

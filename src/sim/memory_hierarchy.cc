@@ -32,7 +32,7 @@ Cache::lookup(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
     for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
+        if (set[i].holds(line)) {
             // Move to MRU position.
             Way hit = set[i];
             for (size_t j = i; j > 0; --j)
@@ -49,7 +49,7 @@ Cache::peek(uint64_t line) const
 {
     const Way *set = &sets_[setIndex(line) * ways_];
     for (size_t i = 0; i < ways_; ++i)
-        if (set[i].valid && set[i].line == line)
+        if (set[i].holds(line))
             return true;
     return false;
 }
@@ -60,8 +60,9 @@ Cache::insert(uint64_t line, bool dirty)
     Way *set = &sets_[setIndex(line) * ways_];
     // Already resident: refresh.
     for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].dirty |= dirty;
+        if (set[i].holds(line)) {
+            if (dirty)
+                set[i].bits |= Way::kDirty;
             Way hit = set[i];
             for (size_t j = i; j > 0; --j)
                 set[j] = set[j - 1];
@@ -71,11 +72,11 @@ Cache::insert(uint64_t line, bool dirty)
     }
     std::optional<Victim> victim;
     Way &lru = set[ways_ - 1];
-    if (lru.valid)
-        victim = Victim{lru.line, lru.dirty};
+    if (lru.valid())
+        victim = Victim{lru.line(), lru.dirty()};
     for (size_t j = ways_ - 1; j > 0; --j)
         set[j] = set[j - 1];
-    set[0] = {line, true, dirty};
+    set[0].bits = line | Way::kValid | (dirty ? Way::kDirty : 0);
     return victim;
 }
 
@@ -84,8 +85,8 @@ Cache::markDirty(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
     for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].dirty = true;
+        if (set[i].holds(line)) {
+            set[i].bits |= Way::kDirty;
             return true;
         }
     }
@@ -97,9 +98,10 @@ Cache::invalidate(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
     for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].valid = false;
-            return set[i].dirty;
+        if (set[i].holds(line)) {
+            bool dirty = set[i].dirty();
+            set[i].bits &= ~Way::kValid;
+            return dirty;
         }
     }
     return false;
@@ -110,8 +112,8 @@ Cache::residentLines() const
 {
     std::vector<uint64_t> lines;
     for (const Way &w : sets_)
-        if (w.valid)
-            lines.push_back(w.line);
+        if (w.valid())
+            lines.push_back(w.line());
     return lines;
 }
 

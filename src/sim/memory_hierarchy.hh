@@ -23,7 +23,8 @@
 
 namespace mipp {
 
-/** One set-associative LRU cache level. */
+/** One set-associative LRU cache level, indexed by line (byte address /
+ *  kLineSize, so below 2^58). */
 class Cache
 {
   public:
@@ -61,10 +62,22 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
 
   private:
+    /** One way in 8 bytes: the line (addresses are 64-bit, so a line
+     *  index needs at most 58 bits) with the valid and dirty flags in the
+     *  top bits. All zero is an empty way. */
     struct Way {
-        uint64_t line = 0;
-        bool valid = false;
-        bool dirty = false;
+        static constexpr uint64_t kValid = 1ULL << 63;
+        static constexpr uint64_t kDirty = 1ULL << 62;
+        uint64_t bits = 0;
+
+        bool valid() const { return bits & kValid; }
+        bool dirty() const { return bits & kDirty; }
+        uint64_t line() const { return bits & ~(kValid | kDirty); }
+        bool
+        holds(uint64_t l) const
+        {
+            return (bits & ~kDirty) == (l | kValid);
+        }
     };
 
     size_t setIndex(uint64_t line) const { return line % numSets_; }

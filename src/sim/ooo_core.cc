@@ -1,9 +1,12 @@
 #include "sim/ooo_core.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "sim/branch_predictor.hh"
 
@@ -11,18 +14,24 @@ namespace mipp {
 
 namespace {
 
+/** Result-visibility cycle of an entry that has not issued. */
+constexpr uint64_t kNever = ~0ULL;
+
+/** Cycles without a commit after which the simulator reports a deadlock. */
+constexpr uint64_t kDeadlockCycles = 1000000;
+
 /** One in-flight instruction in the reorder buffer. */
 struct RobEntry {
     MicroOp op;
     uint64_t seq = 0;
-    bool inIq = false;        ///< occupies an issue-queue slot
     bool issued = false;
-    bool done = false;
-    uint64_t doneCycle = 0;
+    uint64_t doneCycle = 0;   ///< issued: cycle the result is produced
+    /** First cycle dependents and commit see the result:
+     *  max(doneCycle, issue cycle + 1), kNever until issued. */
+    uint64_t readyCycle = kNever;
     int64_t src1Seq = -1;     ///< producing seq, -1 when already available
     int64_t src2Seq = -1;
     HitLevel level = HitLevel::L1;     ///< loads: where data came from
-    bool blockingMispredict = false;   ///< fetch waits on this branch
 };
 
 /** A fetched uop travelling down the front-end pipeline. */
@@ -32,9 +41,22 @@ struct PendingUop {
     bool mispredicted = false;
 };
 
+/** An L1D miss in flight: the line, its data-ready cycle, from DRAM? */
+struct OutstandingMiss {
+    uint64_t line;
+    uint64_t doneCycle;
+    bool dram;
+};
+
 /** Why instruction delivery is currently stalled. */
 enum class FetchStall { None, Branch, ICache };
 
+/**
+ * The core steps cycle by cycle while any stage changes state. After a
+ * cycle in which no stage did, every later cycle repeats it until the
+ * next pending event (see nextEvent()), so run() jumps straight there
+ * and accounts the skipped cycles in bulk.
+ */
 class Core
 {
   public:
@@ -43,16 +65,24 @@ class Core
           bp_(BranchPredictor::create(cfg.predictor, cfg.predictorBytes)),
           feBufferCap_(cfg.fetchWidth * (cfg.frontendDepth + 2))
     {
+        if (cfg_.ports.size() > 64)
+            throw std::invalid_argument(
+                "simulator supports at most 64 issue ports");
+        for (size_t p = 0; p < cfg_.ports.size(); ++p) {
+            for (UopType t : cfg_.ports[p].supports)
+                portMask_[static_cast<int>(t)] |= 1ULL << p;
+        }
         for (int t = 0; t < kNumUopTypes; ++t) {
             if (!cfg_.fus[t].pipelined)
                 fuBusyUntil_[t].assign(cfg_.fus[t].count, 0);
         }
+        outstanding_.reserve(cfg_.mshrs);
     }
 
     SimResult run(const Trace &trace);
 
   private:
-    // Pipeline stages, called once per cycle.
+    // Pipeline stages, called once per simulated cycle.
     void complete();
     uint32_t commit();
     void issue();
@@ -60,9 +90,14 @@ class Core
     void fetch(const Trace &trace);
     void account(uint32_t commits);
 
-    bool srcReady(int64_t seq) const;
+    double &stallComponent(uint32_t commits);
+    uint64_t nextEvent(uint64_t limit);
+
+    RobEntry &entry(uint64_t seq) { return rob_[seq & robMask_]; }
+    bool srcReady(int64_t seq);
     bool tryIssueOne(RobEntry &e);
     void startLoad(RobEntry &e);
+    const OutstandingMiss *outstandingMiss(uint64_t line) const;
 
     const CoreConfig &cfg_;
     const SimOptions opts_;
@@ -70,14 +105,26 @@ class Core
     std::unique_ptr<BranchPredictor> bp_;
 
     uint64_t now_ = 0;
-    uint64_t nextSeq_ = 0;
     size_t fetchIndex_ = 0;
     size_t traceSize_ = 0;
+    /** Set by any stage that changes state this cycle. */
+    bool active_ = false;
 
-    std::deque<RobEntry> rob_;
+    /** ROB ring indexed by seq: holds seqs [headSeq_, nextSeq_). */
+    std::vector<RobEntry> rob_;
+    uint64_t robMask_ = 0;
+    uint64_t headSeq_ = 0;
+    uint64_t nextSeq_ = 0;
+    /** Dispatched, not yet issued seqs, oldest first (the IQ). */
+    std::vector<uint64_t> waiting_;
+    /** readyCycle of the issued entries whose result is not yet
+     *  visible, earliest on top; complete() pops the ones that became
+     *  visible. */
+    std::priority_queue<uint64_t, std::vector<uint64_t>,
+                        std::greater<uint64_t>> pendingReady_;
+
     std::deque<PendingUop> feBuffer_;
     const size_t feBufferCap_;
-    uint32_t iqOccupancy_ = 0;
     uint32_t lsqOccupancy_ = 0;
 
     /** Rename map: architectural register -> producing seq (-1 = ready). */
@@ -87,21 +134,24 @@ class Core
     uint64_t fetchStallUntil_ = 0;
     FetchStall stallReason_ = FetchStall::None;
     bool fetchBlocked_ = false;     ///< waiting on a mispredicted branch
+    /** The mispredicted branch fetch waits on, once dispatched. */
+    int64_t blockingSeq_ = -1;
     uint64_t lastFetchLine_ = ~0ULL;
 
-    // Issue-stage per-cycle resources.
-    std::vector<bool> portUsed_;
-    uint32_t fuIssued_[kNumUopTypes] = {};
-    std::unordered_map<int, std::vector<uint64_t>> fuBusyUntil_;
+    // Issue-stage resources.
+    std::array<uint64_t, kNumUopTypes> portMask_{};  ///< ports per type
+    uint64_t portsUsed_ = 0;                         ///< this cycle
+    uint32_t fuIssued_[kNumUopTypes] = {};           ///< this cycle
+    /** Non-pipelined units: cycle each unit frees up. */
+    std::array<std::vector<uint64_t>, kNumUopTypes> fuBusyUntil_;
 
-    // Outstanding L1D misses: line -> (data-ready cycle, from DRAM?).
-    struct Outstanding {
-        uint64_t doneCycle;
-        bool dram;
-    };
-    std::unordered_map<uint64_t, Outstanding> inFlightLines_;
+    /** Outstanding L1D misses (at most cfg.mshrs, one per line). */
+    std::vector<OutstandingMiss> outstanding_;
+    uint32_t dramOutstanding_ = 0;
 
     SimResult res_;
+    /** The CPI component the last simulated cycle was charged to. */
+    double *lastComponent_ = nullptr;
     uint64_t committedUops_ = 0;
     uint64_t committedInsts_ = 0;
     uint64_t lastWindowCycle_ = 0;
@@ -110,34 +160,48 @@ class Core
 };
 
 bool
-Core::srcReady(int64_t seq) const
+Core::srcReady(int64_t seq)
 {
-    if (seq < 0)
+    // Negative: no producer; below the head: the producer committed.
+    if (seq < static_cast<int64_t>(headSeq_))
         return true;
-    if (rob_.empty() || seq < static_cast<int64_t>(rob_.front().seq))
-        return true; // producer already committed
-    const RobEntry &e = rob_[seq - rob_.front().seq];
-    return e.done && e.doneCycle <= now_;
+    return entry(seq).readyCycle <= now_;
+}
+
+const OutstandingMiss *
+Core::outstandingMiss(uint64_t line) const
+{
+    for (const OutstandingMiss &m : outstanding_)
+        if (m.line == line)
+            return &m;
+    return nullptr;
 }
 
 void
 Core::complete()
 {
-    // Prune resolved outstanding misses.
-    for (auto it = inFlightLines_.begin(); it != inFlightLines_.end();) {
-        if (it->second.doneCycle <= now_)
-            it = inFlightLines_.erase(it);
-        else
-            ++it;
+    // Retire outstanding misses whose data has arrived.
+    for (size_t i = 0; i < outstanding_.size();) {
+        if (outstanding_[i].doneCycle <= now_) {
+            dramOutstanding_ -= outstanding_[i].dram;
+            outstanding_[i] = outstanding_.back();
+            outstanding_.pop_back();
+            active_ = true;
+        } else {
+            ++i;
+        }
     }
-    for (auto &e : rob_) {
-        if (e.issued && !e.done && e.doneCycle <= now_) {
-            e.done = true;
-            if (e.blockingMispredict) {
-                fetchBlocked_ = false;
-                fetchStallUntil_ = e.doneCycle + cfg_.frontendDepth;
-                stallReason_ = FetchStall::Branch;
-            }
+    while (!pendingReady_.empty() && pendingReady_.top() <= now_)
+        pendingReady_.pop();
+    // A resolved mispredicted branch restarts fetch after the refill.
+    if (blockingSeq_ >= 0) {
+        const RobEntry &e = entry(blockingSeq_);
+        if (e.readyCycle <= now_) {
+            fetchBlocked_ = false;
+            fetchStallUntil_ = e.doneCycle + cfg_.frontendDepth;
+            stallReason_ = FetchStall::Branch;
+            blockingSeq_ = -1;
+            active_ = true;
         }
     }
 }
@@ -146,9 +210,9 @@ uint32_t
 Core::commit()
 {
     uint32_t commits = 0;
-    while (!rob_.empty() && commits < cfg_.commitWidth) {
-        RobEntry &head = rob_.front();
-        if (!head.done || head.doneCycle > now_)
+    while (headSeq_ < nextSeq_ && commits < cfg_.commitWidth) {
+        RobEntry &head = entry(headSeq_);
+        if (head.readyCycle > now_)
             break;
         if (head.op.type == UopType::Store) {
             // Write-back at retirement; the core does not wait for it.
@@ -167,7 +231,7 @@ Core::commit()
         }
         committedUops_++;
         committedInsts_ += head.op.instBoundary ? 1 : 0;
-        rob_.pop_front();
+        headSeq_++;
         commits++;
 
         // Per-window CPI series for phase analysis.
@@ -181,6 +245,8 @@ Core::commit()
             lastWindowUops_ = committedUops_;
         }
     }
+    if (commits > 0)
+        active_ = true;
     return commits;
 }
 
@@ -193,10 +259,10 @@ Core::startLoad(RobEntry &e)
         return;
     }
     uint64_t line = e.op.lineAddr();
-    if (auto it = inFlightLines_.find(line); it != inFlightLines_.end()) {
+    if (const OutstandingMiss *m = outstandingMiss(line)) {
         // Coalesce with an outstanding miss to the same line.
-        e.level = it->second.dram ? HitLevel::Dram : HitLevel::L2;
-        e.doneCycle = std::max<uint64_t>(it->second.doneCycle,
+        e.level = m->dram ? HitLevel::Dram : HitLevel::L2;
+        e.doneCycle = std::max<uint64_t>(m->doneCycle,
                                          now_ + cfg_.l1d.latency);
         return;
     }
@@ -204,7 +270,9 @@ Core::startLoad(RobEntry &e)
     e.level = r.level;
     e.doneCycle = now_ + r.latency;
     if (r.level != HitLevel::L1) {
-        inFlightLines_[line] = {e.doneCycle, r.level == HitLevel::Dram};
+        bool dram = r.level == HitLevel::Dram;
+        outstanding_.push_back({line, e.doneCycle, dram});
+        dramOutstanding_ += dram;
     }
 }
 
@@ -213,24 +281,17 @@ Core::tryIssueOne(RobEntry &e)
 {
     int t = static_cast<int>(e.op.type);
 
-    // Structural check: MSHRs for loads that will miss in L1D.
-    if (e.op.type == UopType::Load && !opts_.perfectDCache) {
-        HitLevel lvl = mem_.peekLevel(e.op.addr);
-        bool coalesced = inFlightLines_.count(e.op.lineAddr()) > 0;
-        if (lvl != HitLevel::L1 && !coalesced &&
-            inFlightLines_.size() >= cfg_.mshrs)
-            return false;
-    }
+    // Structural check: MSHRs for loads that will miss in L1D. The
+    // cheap terms go first; peekLevel() only runs when MSHRs are full.
+    if (e.op.type == UopType::Load && !opts_.perfectDCache &&
+        outstanding_.size() >= cfg_.mshrs &&
+        !outstandingMiss(e.op.lineAddr()) &&
+        mem_.peekLevel(e.op.addr) != HitLevel::L1)
+        return false;
 
-    // A free issue port that feeds this uop type.
-    int port = -1;
-    for (size_t p = 0; p < cfg_.ports.size(); ++p) {
-        if (!portUsed_[p] && cfg_.ports[p].canIssue(e.op.type)) {
-            port = static_cast<int>(p);
-            break;
-        }
-    }
-    if (port < 0)
+    // The lowest-numbered free issue port that feeds this uop type.
+    uint64_t freePorts = portMask_[t] & ~portsUsed_;
+    if (freePorts == 0)
         return false;
 
     // A free functional unit.
@@ -240,23 +301,16 @@ Core::tryIssueOne(RobEntry &e)
             return false;
     } else {
         auto &busy = fuBusyUntil_[t];
-        size_t unit = busy.size();
-        for (size_t u = 0; u < busy.size(); ++u) {
-            if (busy[u] <= now_) {
-                unit = u;
-                break;
-            }
-        }
-        if (unit == busy.size())
+        auto unit = std::find_if(busy.begin(), busy.end(),
+                                 [&](uint64_t b) { return b <= now_; });
+        if (unit == busy.end())
             return false;
-        busy[unit] = now_ + cfg_.lat.of(e.op.type);
+        *unit = now_ + cfg_.lat.of(e.op.type);
     }
 
-    portUsed_[port] = true;
+    portsUsed_ |= freePorts & -freePorts;
     fuIssued_[t]++;
     e.issued = true;
-    e.inIq = false;
-    iqOccupancy_--;
 
     res_.activity.iqWakeups++;
     res_.activity.fuOps[t]++;
@@ -267,28 +321,37 @@ Core::tryIssueOne(RobEntry &e)
         startLoad(e);
     else
         e.doneCycle = now_ + cfg_.lat.of(e.op.type);
+    // complete() of the next cycle is the first to see a result.
+    e.readyCycle = std::max(e.doneCycle, now_ + 1);
+    pendingReady_.push(e.readyCycle);
     return true;
 }
 
 void
 Core::issue()
 {
-    portUsed_.assign(cfg_.ports.size(), false);
+    portsUsed_ = 0;
     for (int t = 0; t < kNumUopTypes; ++t)
         fuIssued_[t] = 0;
 
+    // Walk the IQ oldest first, compacting out the entries that issue.
     uint32_t issued = 0;
     const uint32_t issue_width = cfg_.numPorts();
-    for (auto &e : rob_) {
-        if (issued >= issue_width)
-            break;
-        if (!e.inIq || e.issued)
-            continue;
-        if (!srcReady(e.src1Seq) || !srcReady(e.src2Seq))
-            continue;
-        if (tryIssueOne(e))
+    size_t kept = 0;
+    size_t i = 0;
+    for (; i < waiting_.size() && issued < issue_width; ++i) {
+        RobEntry &e = entry(waiting_[i]);
+        if (srcReady(e.src1Seq) && srcReady(e.src2Seq) && tryIssueOne(e))
             issued++;
+        else
+            waiting_[kept++] = waiting_[i];
     }
+    if (issued == 0)
+        return;
+    active_ = true;
+    waiting_.erase(std::move(waiting_.begin() + i, waiting_.end(),
+                             waiting_.begin() + kept),
+                   waiting_.end());
 }
 
 void
@@ -299,25 +362,26 @@ Core::dispatch()
         PendingUop &p = feBuffer_.front();
         if (p.readyCycle > now_)
             break;
-        if (rob_.size() >= cfg_.robSize || iqOccupancy_ >= cfg_.iqSize)
+        if (nextSeq_ - headSeq_ >= cfg_.robSize ||
+            waiting_.size() >= cfg_.iqSize)
             break;
         if (isMemory(p.op.type) && lsqOccupancy_ >= cfg_.lsqSize)
             break;
 
-        RobEntry e;
+        RobEntry &e = entry(nextSeq_);
+        e = RobEntry{};
         e.op = p.op;
         e.seq = nextSeq_++;
-        e.inIq = true;
-        e.blockingMispredict = p.mispredicted;
         e.src1Seq = p.op.src1 != kNoReg ? renameMap_[p.op.src1] : -1;
         e.src2Seq = p.op.src2 != kNoReg ? renameMap_[p.op.src2] : -1;
         if (p.op.dst != kNoReg)
             renameMap_[p.op.dst] = static_cast<int64_t>(e.seq);
+        if (p.mispredicted)
+            blockingSeq_ = static_cast<int64_t>(e.seq);
         if (isMemory(p.op.type))
             lsqOccupancy_++;
-        iqOccupancy_++;
-        rob_.push_back(e);
-        // pop_front() invalidates p; account through the ROB copy.
+        waiting_.push_back(e.seq);
+        // pop_front() invalidates p; account through the ROB entry.
         feBuffer_.pop_front();
         dispatched++;
 
@@ -326,6 +390,8 @@ Core::dispatch()
         res_.activity.uops++;
         res_.activity.instructions += e.op.instBoundary ? 1 : 0;
     }
+    if (dispatched > 0)
+        active_ = true;
 }
 
 void
@@ -333,11 +399,15 @@ Core::fetch(const Trace &trace)
 {
     if (fetchBlocked_ || now_ < fetchStallUntil_)
         return;
-    stallReason_ = FetchStall::None;
+    if (stallReason_ != FetchStall::None) {
+        stallReason_ = FetchStall::None;
+        active_ = true;
+    }
 
     uint32_t fetched = 0;
     while (fetched < cfg_.fetchWidth && fetchIndex_ < traceSize_ &&
            feBuffer_.size() < feBufferCap_) {
+        active_ = true;
         const MicroOp &op = trace[fetchIndex_];
 
         // Instruction-cache lookup on line crossings.
@@ -377,45 +447,73 @@ Core::fetch(const Trace &trace)
     }
 }
 
+double &
+Core::stallComponent(uint32_t commits)
+{
+    CpiStack &s = res_.stack;
+    if (commits > 0)
+        return s.base;
+    if (headSeq_ < nextSeq_) {
+        const RobEntry &head = entry(headSeq_);
+        if (head.issued && head.readyCycle > now_ &&
+            head.op.type == UopType::Load) {
+            switch (head.level) {
+              case HitLevel::Dram: return s.dram;
+              case HitLevel::L3: return s.llcHit;
+              case HitLevel::L2: return s.l2hit;
+              default: break;
+            }
+        }
+        return s.base;
+    }
+    // Empty ROB: the front end is the bottleneck.
+    if (fetchBlocked_ || stallReason_ == FetchStall::Branch)
+        return s.branch;
+    if (stallReason_ == FetchStall::ICache)
+        return s.icache;
+    return s.base;
+}
+
 void
 Core::account(uint32_t commits)
 {
     // Memory-level parallelism bookkeeping.
-    uint32_t outstanding_dram = 0;
-    for (const auto &[line, o] : inFlightLines_)
-        outstanding_dram += o.dram ? 1 : 0;
-    if (outstanding_dram > 0) {
+    if (dramOutstanding_ > 0) {
         res_.dramCycles++;
-        mlpSum_ += outstanding_dram;
+        mlpSum_ += dramOutstanding_;
     }
-
     // CPI-stack attribution (one component per cycle).
-    CpiStack &s = res_.stack;
-    if (commits > 0) {
-        s.base += 1;
-        return;
-    }
-    if (!rob_.empty()) {
-        const RobEntry &head = rob_.front();
-        if (head.issued && !(head.done && head.doneCycle <= now_) &&
-            head.op.type == UopType::Load) {
-            switch (head.level) {
-              case HitLevel::Dram: s.dram += 1; return;
-              case HitLevel::L3: s.llcHit += 1; return;
-              case HitLevel::L2: s.l2hit += 1; return;
-              default: break;
-            }
-        }
-        s.base += 1;
-        return;
-    }
-    // Empty ROB: the front end is the bottleneck.
-    if (fetchBlocked_ || stallReason_ == FetchStall::Branch)
-        s.branch += 1;
-    else if (stallReason_ == FetchStall::ICache)
-        s.icache += 1;
-    else
-        s.base += 1;
+    lastComponent_ = &stallComponent(commits);
+    *lastComponent_ += 1;
+}
+
+/**
+ * Earliest cycle after now_, capped at @p limit, at which a stage could
+ * act differently than it did in this quiet cycle: an issued result
+ * becoming visible, an outstanding miss completing, a fetch stall
+ * ending, the front-end buffer head reaching dispatch, or a
+ * non-pipelined unit freeing up. Nothing else depends on the cycle.
+ */
+uint64_t
+Core::nextEvent(uint64_t limit)
+{
+    uint64_t next = limit;
+    auto consider = [&](uint64_t cycle) {
+        if (cycle > now_ && cycle < next)
+            next = cycle;
+    };
+    if (!pendingReady_.empty())
+        consider(pendingReady_.top());
+    for (const OutstandingMiss &m : outstanding_)
+        consider(m.doneCycle);
+    if (!fetchBlocked_)
+        consider(fetchStallUntil_);
+    if (!feBuffer_.empty())
+        consider(feBuffer_.front().readyCycle);
+    for (const auto &busy : fuBusyUntil_)
+        for (uint64_t b : busy)
+            consider(b);
+    return next;
 }
 
 SimResult
@@ -425,10 +523,16 @@ Core::run(const Trace &trace)
     res_ = SimResult{};
     for (auto &r : renameMap_)
         r = -1;
+    // The ROB never holds more than the whole trace.
+    size_t window = std::max<size_t>(
+        1, std::min<size_t>(cfg_.robSize, traceSize_));
+    rob_.resize(std::bit_ceil(window));
+    robMask_ = rob_.size() - 1;
 
     uint64_t last_progress_cycle = 0;
     uint64_t last_committed = 0;
     while (committedUops_ < traceSize_) {
+        active_ = false;
         complete();
         uint32_t commits = commit();
         issue();
@@ -439,11 +543,25 @@ Core::run(const Trace &trace)
         if (committedUops_ != last_committed) {
             last_committed = committedUops_;
             last_progress_cycle = now_;
-        } else if (now_ - last_progress_cycle > 1000000) {
+        } else if (now_ - last_progress_cycle > kDeadlockCycles) {
             throw std::logic_error("simulator deadlock at cycle " +
                                    std::to_string(now_));
         }
-        ++now_;
+        if (active_) {
+            ++now_;
+            continue;
+        }
+        // Quiet cycle: the cycles up to the next event repeat it. The cap
+        // lands on the cycle the deadlock check above would fire.
+        uint64_t next =
+            nextEvent(last_progress_cycle + kDeadlockCycles + 1);
+        uint64_t skipped = next - now_ - 1;
+        *lastComponent_ += static_cast<double>(skipped);
+        if (dramOutstanding_ > 0) {
+            res_.dramCycles += skipped;
+            mlpSum_ += skipped * dramOutstanding_;
+        }
+        now_ = next;
     }
 
     res_.cycles = now_;

@@ -14,6 +14,11 @@
  * misprediction instead stops instruction delivery until the branch resolves
  * plus the front-end refill time — the same first-order penalty real
  * machines pay (thesis Fig 2.4).
+ *
+ * The core steps cycle by cycle only while something happens: a run of
+ * cycles in which no stage changes state (a DRAM stall, say) is skipped
+ * to its next event and accounted in bulk, with results identical to
+ * stepping every cycle (docs/architecture.md).
  */
 
 #ifndef MIPP_SIM_OOO_CORE_HH

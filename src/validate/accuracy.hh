@@ -93,6 +93,11 @@ metricIndex(AccuracyMetric m)
 /** Stable metric names used in reports, JSON and the golden baseline. */
 std::string_view accuracyMetricName(AccuracyMetric m);
 
+/** Bounds on the trace length a caller outside the library may request
+ *  (the CLI's report `--uops`, the serve `accuracy` op). */
+constexpr size_t kRequestMinUops = 100;
+constexpr size_t kRequestMaxUops = 10000000;
+
 /** Harness configuration. */
 struct AccuracyOptions {
     /** Design points to evaluate; empty = accuracyGrid("default"). */

@@ -1,12 +1,22 @@
 /**
  * @file
  * Tests for the cycle-level out-of-order core, using small hand-built
- * traces with analytically known timing.
+ * traces with analytically known timing, plus a golden-digest identity
+ * check over suite workloads and design points.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/ooo_core.hh"
+#include "uarch/design_space.hh"
+#include "util/hash.hh"
+#include "validate/accuracy.hh"
+#include "workloads/workload.hh"
 
 namespace mipp {
 namespace {
@@ -292,6 +302,225 @@ TEST(OooCore, ActivityCountsConsistent)
     EXPECT_EQ(res.activity.cycles, res.cycles);
     EXPECT_EQ(res.activity.fuOps[static_cast<int>(UopType::Load)],
               res.uops / 2);
+}
+
+TEST(OooCore, DeadlockIsReportedAtTheSameCycle)
+{
+    // No port feeds loads, so the first load never issues and nothing
+    // commits after it: the deadlock guard fires 1000001 cycles after
+    // the last commit, wherever the loop skips quiet cycles.
+    CoreConfig cfg = testConfig();
+    for (auto &port : cfg.ports)
+        std::erase(port.supports, UopType::Load);
+    TraceBuilder b;
+    b.load(0x1000, 4);
+    b.alu(5, 4);
+    try {
+        simulate(b.trace, cfg);
+        FAIL() << "expected a deadlock";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(), "simulator deadlock at cycle 1000001");
+    }
+}
+
+TEST(OooCore, RejectsMoreThan64IssuePorts)
+{
+    CoreConfig cfg = testConfig();
+    cfg.ports.assign(65, cfg.ports[0]);
+    TraceBuilder b;
+    b.alu(4);
+    EXPECT_THROW(simulate(b.trace, cfg), std::invalid_argument);
+    cfg.ports.resize(64);
+    EXPECT_EQ(simulate(b.trace, cfg).uops, 1u);
+}
+
+/** Serializes every SimResult field, in declaration order, for a digest. */
+class ResultBytes
+{
+  public:
+    template <typename T>
+    void
+    put(T v)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        char raw[sizeof(T)];
+        std::memcpy(raw, &v, sizeof(T));
+        bytes_.append(raw, sizeof(T));
+    }
+
+    void
+    put(const LevelStats &s)
+    {
+        static_assert(sizeof(LevelStats) == 6 * sizeof(uint64_t),
+                      "digest every LevelStats field");
+        put(s.loadAccesses); put(s.loadMisses);
+        put(s.storeAccesses); put(s.storeMisses);
+        put(s.ifetchAccesses); put(s.ifetchMisses);
+    }
+
+    void
+    put(const SimResult &r)
+    {
+        put(r.cycles); put(r.uops); put(r.instructions);
+        put(r.branches); put(r.branchMispredicts);
+
+        static_assert(sizeof(CpiStack) == 6 * sizeof(double),
+                      "digest every CpiStack field");
+        const CpiStack &s = r.stack;
+        put(s.base); put(s.branch); put(s.icache);
+        put(s.l2hit); put(s.llcHit); put(s.dram);
+
+        static_assert(sizeof(MemoryStats) == 34 * sizeof(uint64_t),
+                      "digest every MemoryStats field");
+        const MemoryStats &m = r.mem;
+        put(m.l1i); put(m.l1d); put(m.l2); put(m.l3);
+        put(m.dramAccesses);
+        put(m.coldLoadMisses); put(m.capacityLoadMisses);
+        put(m.coldStoreMisses); put(m.capacityStoreMisses);
+        put(m.writebacks); put(m.busWaitCycles);
+        put(m.prefetchesIssued); put(m.prefetchHits);
+        put(m.prefetchesInstalled);
+
+        static_assert(sizeof(ActivityCounts) ==
+                          (15 + kNumUopTypes) * sizeof(uint64_t),
+                      "digest every ActivityCounts field");
+        const ActivityCounts &a = r.activity;
+        put(a.cycles); put(a.uops); put(a.instructions);
+        for (uint64_t n : a.fuOps)
+            put(n);
+        put(a.robWrites); put(a.robReads); put(a.iqWrites);
+        put(a.iqWakeups); put(a.rfReads); put(a.rfWrites);
+        put(a.bpLookups); put(a.l1iAccesses); put(a.l1dAccesses);
+        put(a.l2Accesses); put(a.l3Accesses); put(a.dramAccesses);
+
+        put(r.avgMlp);
+        put(r.dramCycles);
+        put(static_cast<uint64_t>(r.windowCpi.size()));
+        for (double c : r.windowCpi)
+            put(c);
+    }
+
+    uint64_t digest() const { return xxh64(bytes_.data(), bytes_.size()); }
+
+  private:
+    std::string bytes_;
+};
+
+const CoreConfig &
+designPoint(const std::string &name)
+{
+    static const DesignSpace space;
+    for (const auto &c : space.configs())
+        if (c.name == name)
+            return c;
+    throw std::invalid_argument("no design point " + name);
+}
+
+/**
+ * The identity grid: the CI accuracy grid, design points at each ROB
+ * size, the reference machine with the prefetcher, and a corner machine
+ * (few MSHRs, an IQ and LSQ smaller than the ROB, a zero-latency ALU, no
+ * front-end depth) that exercises the simulator's edge rules.
+ */
+std::vector<CoreConfig>
+identityGrid()
+{
+    std::vector<CoreConfig> grid = accuracyGrid("ci");
+    grid.push_back(designPoint("w6_rob64_l1d32k_l2256k_l38m"));
+    grid.push_back(designPoint("w2_rob128_l1d64k_l2512k_l332m"));
+    grid.push_back(designPoint("w4_rob256_l1d16k_l2128k_l32m"));
+    CoreConfig pf = CoreConfig::nehalemReference();
+    pf.prefetcherEnabled = true;
+    pf.name = "nehalem_pf";
+    grid.push_back(pf);
+    CoreConfig corner = CoreConfig::nehalemReference();
+    corner.setWidth(6);
+    corner.robSize = 96;
+    corner.iqSize = 20;
+    corner.lsqSize = 12;
+    corner.mshrs = 2;
+    corner.frontendDepth = 0;
+    corner.lat.of(UopType::IntAlu) = 0;
+    corner.fus[static_cast<int>(UopType::FpMul)] = {2, false};
+    corner.memLatency = 120;
+    corner.busTransferCycles = 24;
+    corner.prefetcherEnabled = true;
+    corner.name = "corner";
+    grid.push_back(corner);
+    return grid;
+}
+
+/**
+ * Every SimResult field, digested over the eight combinations of the
+ * SimOptions perfect flags, for each (workload, identityGrid() config).
+ * Recorded from the per-cycle simulator before it became event-driven;
+ * a mismatch is a simulator change, never a reason to re-record.
+ */
+struct GoldenRow {
+    const char *workload;
+    uint64_t digest[7];
+};
+
+constexpr GoldenRow kGolden[] = {
+    {"matrix_tile",
+     {0xe26466db53881d83, 0xa530b9dfe3eb3e5a,
+      0xf86f5d41791645d1, 0xa43d3d81965a2362,
+      0x0ed1c12d271ef3f3, 0xdc6965ad9a62c6d3,
+      0xf6c4cdfb2a45798d}},
+    {"stencil",
+     {0x301339e9382c9b55, 0xb9a730bc06221c31,
+      0x5053fc5c95afa9ef, 0x5fa1d897fa7fbe76,
+      0x055aa9f8d78722df, 0x58abdea7c0e0bc74,
+      0xc0b5e7a8a4a6e2e0}},
+    {"hash_build",
+     {0xf08e402f16d79c1c, 0x1c01827d2349e9f2,
+      0xd36b053702e6dc7f, 0x8045f1d2922a0424,
+      0xf103383a098c619c, 0xf08e402f16d79c1c,
+      0xf63bcafd3b366d4f}},
+    {"branchy",
+     {0x2891c55ba85ffcec, 0x33dfd842a8a26c4a,
+      0x8bbeec70be344aa1, 0x6fb592dccdd1d33b,
+      0x07654b8f935cbe71, 0x3cc994492c9fafa3,
+      0xa5dde144cdfb184e}},
+    {"ptr_chase",
+     {0x6eb5cc51a41d9cfc, 0x5500d48e93ce4e01,
+      0xba89d00cf0fbd8db, 0xc1f611817a1f4da8,
+      0xe07f28c0626ba69a, 0x6eb5cc51a41d9cfc,
+      0x616439dbfc912ca7}},
+    {"div_heavy",
+     {0x643dedf9ff8fbc33, 0xab3784ba1f6598e3,
+      0x513eb09d8eaf1792, 0x43bddbf3f84b657a,
+      0xf35150ee707a4a10, 0xc8f6e4cf64ebe18a,
+      0x36849c6e2372b10b}},
+    {"scatter_store",
+     {0xe1399d7bfaf02deb, 0x19106d47220cc81a,
+      0x7ada55f779ae3ce0, 0x7e04b807cc975eae,
+      0x3c791b1c4147fb01, 0x0245156574dd320f,
+      0x6efe436e634cdf1e}},
+};
+
+TEST(OooCore, EverySimResultFieldMatchesTheGoldenDigests)
+{
+    const std::vector<CoreConfig> grid = identityGrid();
+    ASSERT_EQ(grid.size(), std::size(kGolden[0].digest));
+    for (const GoldenRow &row : kGolden) {
+        const Trace trace =
+            generateWorkload(suiteWorkload(row.workload), 6000);
+        for (size_t c = 0; c < grid.size(); ++c) {
+            ResultBytes bytes;
+            for (int flags = 0; flags < 8; ++flags) {
+                SimOptions opts;
+                opts.perfectBranch = flags & 1;
+                opts.perfectICache = flags & 2;
+                opts.perfectDCache = flags & 4;
+                opts.cpiWindowUops = 700;
+                bytes.put(simulate(trace, grid[c], opts));
+            }
+            EXPECT_EQ(bytes.digest(), row.digest[c])
+                << row.workload << " on " << grid[c].name << ": 0x"
+                << std::hex << bytes.digest();
+        }
+    }
 }
 
 } // namespace
